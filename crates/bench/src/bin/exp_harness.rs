@@ -26,10 +26,11 @@
 //! session multiplexer with N ∈ {1, 4, 16} concurrent query streams over
 //! one cluster (same total work per row, so N = 1 is the serial
 //! baseline), records per-query p50/p99 latency and queries/sec, and
-//! writes `BENCH_serve.json`. `hotpath` times the three per-row server
-//! kernels in both their retained Vec-returning and flat in-place forms
-//! (counting heap allocations per warm call through the binary's counting
-//! allocator) and writes `BENCH_hotpath.json`. `failover` brings up the
+//! writes `BENCH_serve.json`. `hotpath` times five per-row kernels
+//! against their baselines (the retained Vec-returning forms, or the
+//! generic `u128 %` arithmetic for the Shamir field kernels), counting
+//! heap allocations per warm call through the binary's counting
+//! allocator, and writes `BENCH_hotpath.json`. `failover` brings up the
 //! elastic TCP deployment (registry + attaching workers), kills a shard
 //! worker mid-sweep, times the self-heal, asserts the healed answers are
 //! identical to the pre-kill answers, and writes `BENCH_failover.json`.

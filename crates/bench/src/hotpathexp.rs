@@ -1,12 +1,12 @@
-//! Hot-path microbench: baseline Vec-returning kernels vs the flat
-//! in-place variants the engine's buffer arena uses.
+//! Hot-path microbench: each per-row kernel against its baseline.
 //!
-//! Three per-row kernels dominate server query time, and each now has two
-//! bit-identical implementations: the retained Vec-returning API (the
-//! pre-flat-buffer code path, kept as the conformance reference) and the
+//! Every kernel has two bit-identical implementations. For the first three
+//! the baseline is the retained Vec-returning API (the pre-flat-buffer code
+//! path, kept as the conformance reference) and the flat side is the
 //! `_into` variant that writes into a caller-owned slice with a
-//! caller-cached table. This experiment times both sides of each pair on
-//! the same inputs:
+//! caller-cached table. For the two Shamir field kernels the baseline is a
+//! loop on the generic `u128 %` arithmetic. This experiment times both
+//! sides of each pair on the same inputs:
 //!
 //! * **psi_round** — the PSI round-1 server step (Equation 3):
 //!   [`prism_protocol::psi::server_psi_round`] (rebuilds the power table
@@ -22,6 +22,15 @@
 //! * **psu_blinding** — the PSU blinding stream (Equation 18):
 //!   [`prism_protocol::psu::blinding_for`] (fresh vector per query) vs
 //!   [`prism_core::Prg::blinding_into`] refilling one reused buffer.
+//! * **shamir_share** — the owner's degree-1 sharing of a `b`-cell column
+//!   (the z vector and every outsourced payload): a loop on the generic
+//!   `u128 %` [`prism_core::arith::add_mod`]/[`prism_core::arith::mul_mod`]
+//!   and [`prism_core::Prg::below`] vs [`prism_core::ShamirCtx::share_vector`]
+//!   on the shift-and-add field kernels ([`prism_core::arith::m61`]).
+//! * **sum_round** — the Equation-11 server step: the same generic
+//!   arithmetic loop vs [`prism_protocol::sum::server_sum_round_into`].
+//!
+//! The field pairs assert bit-identical outputs before timing them.
 //!
 //! When the caller passes an allocation counter (the `exp_harness` binary
 //! installs a counting global allocator), each row also records how many
@@ -35,18 +44,21 @@
 //! from an older run.
 
 use crate::report::{print_table, secs};
-use prism_core::Prg;
+use prism_core::arith::{add_mod, mul_mod};
+use prism_core::{Prg, MERSENNE_61};
 use prism_protocol::params::{Initiator, ServerParams, Setup, SystemConfig, SHAMIR_SERVERS};
-use prism_protocol::{psi, psu};
+use prism_protocol::tables::share_payload;
+use prism_protocol::{psi, psu, sum};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// One (kernel, variant) measurement.
 #[derive(Debug, Clone)]
 pub struct HotpathRow {
-    /// Kernel name: `psi_round`, `shamir_reconstruct`, or `psu_blinding`.
+    /// Kernel name, one of [`KERNELS`].
     pub kernel: &'static str,
-    /// `baseline` (retained Vec API) or `flat` (in-place variant).
+    /// `baseline` (retained Vec API or generic-arithmetic loop) or `flat`
+    /// (in-place variant or field kernel).
     pub variant: &'static str,
     /// Cells processed per call (`b`).
     pub cells: usize,
@@ -118,7 +130,35 @@ fn owner_shares(sp: &ServerParams, owners: usize, seed: u64) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Run all three kernel pairs at `cells` domain cells and `owners` owners;
+/// Degree-1 sharing at points `1..=k` on the generic `u128 %` arithmetic,
+/// drawing coefficients like [`prism_core::ShamirCtx::share_vector`].
+fn generic_share_vector(secrets: &[u64], k: usize, prg: &mut Prg) -> Vec<Vec<u64>> {
+    let p = MERSENNE_61;
+    let mut out: Vec<Vec<u64>> = (0..k).map(|_| Vec::with_capacity(secrets.len())).collect();
+    for &s in secrets {
+        let a = prg.below(p);
+        for (x, col) in out.iter_mut().enumerate() {
+            col.push(add_mod(mul_mod(a, x as u64 + 1, p), s % p, p));
+        }
+    }
+    out
+}
+
+/// The Equation-11 server step on the generic `u128 %` arithmetic.
+fn generic_sum_round(payload: &[&[u64]], z: &[u64], out: &mut [u64]) {
+    let p = MERSENNE_61;
+    out.fill(0);
+    for shares in payload {
+        for (a, &s) in out.iter_mut().zip(*shares) {
+            *a = add_mod(*a, s, p);
+        }
+    }
+    for (v, &zi) in out.iter_mut().zip(z) {
+        *v = mul_mod(*v, zi, p);
+    }
+}
+
+/// Run every kernel pair at `cells` domain cells and `owners` owners;
 /// best-of-`reps` per row.
 pub fn run(
     cells: usize,
@@ -129,7 +169,8 @@ pub fn run(
 ) -> Vec<HotpathRow> {
     let setup = setup(cells, owners, seed);
     let sp = &setup.servers[0];
-    let mut rows = Vec::with_capacity(6);
+    let field = &setup.owner.field;
+    let mut rows = Vec::with_capacity(2 * KERNELS.len());
 
     // --- psi_round: Vec API (table rebuilt per call) vs cached-table into.
     {
@@ -154,9 +195,8 @@ pub fn run(
 
     // --- shamir_reconstruct: per-cell inversions vs precomputed weights.
     {
-        let field = &sp.field;
         let mut prg = Prg::from_seed(seed ^ 0x5EED_0CE2);
-        let secrets: Vec<u64> = (0..cells).map(|_| prg.below(field.p)).collect();
+        let secrets: Vec<u64> = (0..cells).map(|_| prg.below(MERSENNE_61)).collect();
         let cols = field.share_vector(&secrets, SHAMIR_SERVERS, &mut prg);
         let baseline = || {
             let mut acc = 0u64;
@@ -200,6 +240,67 @@ pub fn run(
         rows.push(row("psu_blinding", "flat", cells, t, a));
     }
 
+    // --- shamir_share: generic `u128 %` loop vs the field kernels.
+    {
+        let mut prg = Prg::from_seed(seed ^ 0x5EED_0CE3);
+        let secrets: Vec<u64> = (0..cells).map(|_| prg.next_u64() >> 40).collect();
+        let draw_seed = prg.next_u64();
+        assert_eq!(
+            generic_share_vector(&secrets, SHAMIR_SERVERS, &mut Prg::from_seed(draw_seed)),
+            field.share_vector(&secrets, SHAMIR_SERVERS, &mut Prg::from_seed(draw_seed)),
+            "shamir_share pair disagrees"
+        );
+        let baseline = || {
+            let mut prg = Prg::from_seed(draw_seed);
+            black_box(generic_share_vector(&secrets, SHAMIR_SERVERS, &mut prg));
+        };
+        let flat = || {
+            let mut prg = Prg::from_seed(draw_seed);
+            black_box(field.share_vector(&secrets, SHAMIR_SERVERS, &mut prg));
+        };
+        let t = best_of(reps, baseline);
+        let a = allocs_of(alloc_count, baseline);
+        rows.push(row("shamir_share", "baseline", cells, t, a));
+        let t = best_of(reps, flat);
+        let a = allocs_of(alloc_count, flat);
+        rows.push(row("shamir_share", "flat", cells, t, a));
+    }
+
+    // --- sum_round: generic `u128 %` loop vs the field kernels.
+    {
+        let mut prg = Prg::from_seed(seed ^ 0x5EED_0CE4);
+        let payload: Vec<Vec<u64>> = (0..owners)
+            .map(|_| {
+                let values: Vec<u64> = (0..cells).map(|_| prg.next_u64() >> 40).collect();
+                share_payload(&values, field, &mut prg)
+                    .shares
+                    .swap_remove(0)
+            })
+            .collect();
+        let refs: Vec<&[u64]> = payload.iter().map(|s| s.as_slice()).collect();
+        let z: Vec<u64> = (0..cells).map(|i| (i % 2) as u64).collect();
+        let z = share_payload(&z, field, &mut prg).shares.swap_remove(0);
+        let mut expect = vec![0u64; cells];
+        let mut out = vec![0u64; cells];
+        generic_sum_round(&refs, &z, &mut expect);
+        sum::server_sum_round_into(&refs, &z, sp, &mut out, 1).expect("sum flat");
+        assert_eq!(expect, out, "sum_round pair disagrees");
+        let mut baseline = || {
+            generic_sum_round(&refs, &z, &mut expect);
+            black_box(expect[0]);
+        };
+        let mut flat = || {
+            sum::server_sum_round_into(&refs, &z, sp, &mut out, 1).expect("sum flat");
+            black_box(out[0]);
+        };
+        let t = best_of(reps, &mut baseline);
+        let a = allocs_of(alloc_count, &mut baseline);
+        rows.push(row("sum_round", "baseline", cells, t, a));
+        let t = best_of(reps, &mut flat);
+        let a = allocs_of(alloc_count, &mut flat);
+        rows.push(row("sum_round", "flat", cells, t, a));
+    }
+
     rows
 }
 
@@ -216,8 +317,14 @@ pub fn speedup(rows: &[HotpathRow], kernel: &str) -> f64 {
     }
 }
 
-/// The three kernel names, in report order.
-pub const KERNELS: [&str; 3] = ["psi_round", "shamir_reconstruct", "psu_blinding"];
+/// The kernel names, in report order.
+pub const KERNELS: [&str; 5] = [
+    "psi_round",
+    "shamir_reconstruct",
+    "psu_blinding",
+    "shamir_share",
+    "sum_round",
+];
 
 /// Print the pairs, one row per (kernel, variant), plus per-kernel
 /// speedups.
@@ -291,7 +398,7 @@ mod tests {
     #[test]
     fn pairs_agree_and_report() {
         let rows = run(512, 3, 1, 9, None);
-        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.len(), 10);
         for k in KERNELS {
             assert_eq!(rows.iter().filter(|r| r.kernel == k).count(), 2);
             assert!(speedup(&rows, k) > 0.0);
@@ -316,6 +423,7 @@ mod tests {
         assert!(text.contains("shamir_reconstruct_speedup"));
         assert!(text.contains("max_speedup"));
         assert!(text.contains("\"allocs_per_call\": null"));
-        assert_eq!(text.matches("\"variant\": \"flat\"").count(), 3);
+        assert!(text.contains("\"kernel\": \"shamir_share\""));
+        assert_eq!(text.matches("\"variant\": \"flat\"").count(), 5);
     }
 }

@@ -161,11 +161,69 @@ pub fn next_prime(mut n: u64) -> u64 {
     }
 }
 
-/// The Mersenne prime `2^61 - 1`, PRISM's default Shamir field modulus.
+/// The Mersenne prime `2^61 - 1`, PRISM's Shamir field modulus.
 ///
-/// Chosen because products of two reduced residues fit in `u128`, and sums
-/// over 50 owners × 20M tuples of realistic column values stay far below it.
+/// Chosen because products of two reduced residues fit in `u128`, sums
+/// over 50 owners × 20M tuples of realistic column values stay far below
+/// it, and `2^61 ≡ 1 (mod p)` turns every reduction into shifts and adds
+/// (see [`m61`]).
 pub const MERSENNE_61: u64 = (1u64 << 61) - 1;
+
+/// Arithmetic in the Shamir field `F_p`, `p = 2^61 − 1`, without division.
+///
+/// Because `2^61 ≡ 1 (mod p)`, a value splits into 61-bit chunks whose sum
+/// is congruent to it: `x = lo + 2^61·hi ≡ lo + hi`. A `u128` product
+/// needs one split into three chunks plus one fold and one conditional
+/// subtract, where the generic [`mul_mod`] calls a 128-bit division per
+/// operation. Every function accepts *any* operand — an unreduced share
+/// or `u64::MAX` from a malicious party included — and returns the
+/// canonical residue in `[0, p)`, so results are bit-identical to
+/// [`add_mod`]/[`mul_mod`] at [`MERSENNE_61`] (the parity tests pin this).
+pub mod m61 {
+    use super::MERSENNE_61 as P;
+
+    /// `x mod 2^61 + x div 2^61`: congruent to `x`, at most `p + 7`.
+    #[inline(always)]
+    fn fold(x: u64) -> u64 {
+        (x & P) + (x >> 61)
+    }
+
+    /// Canonical residue of a value below `2p`.
+    #[inline(always)]
+    fn canon(x: u64) -> u64 {
+        if x >= P {
+            x - P
+        } else {
+            x
+        }
+    }
+
+    /// `x mod p` for any `u128`.
+    #[inline]
+    pub fn reduce(x: u128) -> u64 {
+        // Three 61-bit chunks: each of the low two is at most p and the top
+        // one (bits 122..128) at most 63, so their sum fits in 63 bits and
+        // one fold leaves at most p + 2.
+        let lo = x as u64 & P;
+        let mid = (x >> 61) as u64 & P;
+        let hi = (x >> 122) as u64;
+        canon(fold(lo + mid + hi))
+    }
+
+    /// `(a · b) mod p` for any `a`, `b`.
+    #[inline]
+    pub fn mul(a: u64, b: u64) -> u64 {
+        reduce(a as u128 * b as u128)
+    }
+
+    /// `(a + b) mod p` for any `a`, `b`.
+    #[inline]
+    pub fn add(a: u64, b: u64) -> u64 {
+        // Each folded operand is at most p + 7, so the sum stays below
+        // 2^63 and one more fold leaves at most p + 2.
+        canon(fold(fold(a) + fold(b)))
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -287,7 +345,68 @@ mod tests {
         assert!(is_prime(5003));
     }
 
+    /// Operands where a shift-and-add reduction can go wrong: around 0, p,
+    /// 2p, the chunk boundaries 2^61/2^62/2^63, and the top of `u64`.
+    const EDGES: [u64; 16] = [
+        0,
+        1,
+        2,
+        MERSENNE_61 - 1,
+        MERSENNE_61,
+        MERSENNE_61 + 1,
+        2 * MERSENNE_61 - 1,
+        2 * MERSENNE_61,
+        2 * MERSENNE_61 + 1,
+        1 << 62,
+        1 << 63,
+        (1 << 63) - 1,
+        8 * MERSENNE_61,
+        8 * MERSENNE_61 + 6,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+
+    /// Half edge operands, half uniform `u64`s.
+    fn edge_or_any() -> impl Strategy<Value = u64> {
+        (0..2 * EDGES.len(), any::<u64>()).prop_map(|(i, r)| EDGES.get(i).copied().unwrap_or(r))
+    }
+
+    #[test]
+    fn m61_matches_u128_rem_on_every_edge_pair() {
+        for &a in &EDGES {
+            for &b in &EDGES {
+                assert_eq!(m61::mul(a, b), mul_mod(a, b, MERSENNE_61), "{a} * {b}");
+                assert_eq!(m61::add(a, b), add_mod(a, b, MERSENNE_61), "{a} + {b}");
+                let wide = ((a as u128) << 64) | b as u128;
+                assert_eq!(m61::reduce(wide), (wide % MERSENNE_61 as u128) as u64);
+            }
+        }
+        for x in [
+            0u128,
+            MERSENNE_61 as u128,
+            1 << 122,
+            (1 << 122) - 1,
+            u128::MAX,
+        ] {
+            assert_eq!(m61::reduce(x), (x % MERSENNE_61 as u128) as u64, "{x}");
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_m61_reduce_matches_u128_rem(x: u128, a in edge_or_any(), b in edge_or_any()) {
+            let p = MERSENNE_61 as u128;
+            prop_assert_eq!(m61::reduce(x), (x % p) as u64);
+            let product = a as u128 * b as u128;
+            prop_assert_eq!(m61::reduce(product), (product % p) as u64);
+        }
+
+        #[test]
+        fn prop_m61_mul_add_match_reference(a in edge_or_any(), b in edge_or_any()) {
+            prop_assert_eq!(m61::mul(a, b), mul_mod(a, b, MERSENNE_61));
+            prop_assert_eq!(m61::add(a, b), add_mod(a, b, MERSENNE_61));
+        }
+
         #[test]
         fn prop_sub_then_add_roundtrips(a in 0u64..u64::MAX, b in 0u64..u64::MAX, n in 2u64..u64::MAX) {
             let d = sub_mod(a, b, n);

@@ -67,8 +67,23 @@ impl Prg {
         if bound.is_power_of_two() {
             return self.next_u64() & (bound - 1);
         }
-        // Reject the final partial block of the u64 range.
-        let zone = u64::MAX - (u64::MAX % bound + 1) % bound;
+        self.below_within(bound, Prg::rejection_zone(bound))
+    }
+
+    /// The largest draw [`Prg::below`] accepts for a non-power-of-two
+    /// `bound`: draws above it fall in the final partial block of the
+    /// `u64` range and are rejected. A `const fn`, so a fixed modulus
+    /// computes it once at compile time.
+    pub const fn rejection_zone(bound: u64) -> u64 {
+        u64::MAX - (u64::MAX % bound + 1) % bound
+    }
+
+    /// [`Prg::below`] for a non-power-of-two `bound` whose
+    /// [`Prg::rejection_zone`] the caller already holds: the identical
+    /// draws and results, without re-deriving the zone on every draw.
+    #[inline]
+    pub fn below_within(&mut self, bound: u64, zone: u64) -> u64 {
+        debug_assert!(!bound.is_power_of_two() && zone == Prg::rejection_zone(bound));
         loop {
             let v = self.next_u64();
             if v <= zone {
@@ -218,6 +233,19 @@ mod tests {
             let mut prg = Prg::from_seed(seed);
             for _ in 0..32 {
                 prop_assert!(prg.below(bound) < bound);
+            }
+        }
+
+        #[test]
+        fn prop_below_within_matches_below(seed: u64, bound in 3u64..u64::MAX) {
+            if !bound.is_power_of_two() {
+                let mut lhs = Prg::from_seed(seed);
+                let mut rhs = Prg::from_seed(seed);
+                let zone = Prg::rejection_zone(bound);
+                for _ in 0..32 {
+                    prop_assert_eq!(lhs.below(bound), rhs.below_within(bound, zone));
+                }
+                prop_assert_eq!(lhs.next_u64(), rhs.next_u64());
             }
         }
 

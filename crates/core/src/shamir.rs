@@ -4,12 +4,17 @@
 //! PSI-Sum (§6.1) multiplies two degree-1 sharings pointwise (data × result
 //! indicator), producing a degree-2 sharing that three servers' evaluations
 //! can reconstruct by Lagrange interpolation at 0. The share type carries
-//! its evaluation point so interpolation never mis-pairs shares, and the
-//! default field is the Mersenne prime `2^61 − 1`.
+//! its evaluation point so interpolation never mis-pairs shares. The field
+//! is fixed at the Mersenne prime `p = 2^61 − 1`, whose reductions are
+//! shifts and adds ([`crate::arith::m61`]); every operation accepts
+//! unreduced operands and returns canonical residues.
 
-use crate::arith::{add_mod, inv_mod, mul_mod, sub_mod, MERSENNE_61};
+use crate::arith::{inv_mod, m61, sub_mod, MERSENNE_61};
 use crate::prg::Prg;
 use serde::{Deserialize, Serialize};
+
+/// [`Prg::below`]'s rejection zone for the field modulus, computed once.
+const COEFF_ZONE: u64 = Prg::rejection_zone(MERSENNE_61);
 
 /// A Shamir share: the evaluation `f(x)` of the sharing polynomial at a
 /// non-zero point `x`.
@@ -21,30 +26,30 @@ pub struct ShamirShare {
     pub y: u64,
 }
 
-/// Field context for Shamir operations.
+/// Sharing context over the field `F_p`, `p = 2^61 − 1` ([`MERSENNE_61`]).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq, Eq)]
 pub struct ShamirCtx {
-    /// Field prime.
-    pub p: u64,
     /// Polynomial degree `c'` (threshold − 1). PRISM uses degree 1.
     pub degree: usize,
 }
 
 impl Default for ShamirCtx {
     fn default() -> Self {
-        ShamirCtx {
-            p: MERSENNE_61,
-            degree: 1,
-        }
+        ShamirCtx { degree: 1 }
     }
 }
 
 impl ShamirCtx {
-    /// Construct a context; `p` must be prime and `degree ≥ 1`.
-    pub fn new(p: u64, degree: usize) -> Self {
+    /// Construct a context; `degree ≥ 1`.
+    pub fn new(degree: usize) -> Self {
         assert!(degree >= 1, "degree must be at least 1");
-        assert!(crate::arith::is_prime(p), "Shamir modulus must be prime");
-        ShamirCtx { p, degree }
+        ShamirCtx { degree }
+    }
+
+    /// A uniform random polynomial coefficient in `[0, p)`.
+    #[inline]
+    fn coeff(prg: &mut Prg) -> u64 {
+        prg.below_within(MERSENNE_61, COEFF_ZONE)
     }
 
     /// Split `secret` into `count` shares at evaluation points `1..=count`.
@@ -59,24 +64,26 @@ impl ShamirCtx {
         );
         // f(x) = secret + a₁x + … + a_d x^d with random aᵢ.
         let mut coeffs = Vec::with_capacity(self.degree + 1);
-        coeffs.push(secret % self.p);
+        coeffs.push(m61::reduce(secret as u128));
         for _ in 0..self.degree {
-            coeffs.push(prg.below(self.p));
+            coeffs.push(Self::coeff(prg));
         }
         (1..=count as u64)
             .map(|x| ShamirShare {
                 x,
-                y: self.eval_poly(&coeffs, x),
+                y: Self::eval_poly(&coeffs, x),
             })
             .collect()
     }
 
-    /// Horner evaluation of a coefficient vector at `x`.
-    fn eval_poly(&self, coeffs: &[u64], x: u64) -> u64 {
-        coeffs
-            .iter()
+    /// Horner evaluation at `x` of a non-empty coefficient vector whose
+    /// top coefficient is reduced.
+    #[inline]
+    fn eval_poly(coeffs: &[u64], x: u64) -> u64 {
+        let (&top, rest) = coeffs.split_last().expect("non-empty polynomial");
+        rest.iter()
             .rev()
-            .fold(0u64, |acc, &c| add_mod(mul_mod(acc, x, self.p), c, self.p))
+            .fold(top, |acc, &c| m61::add(m61::mul(acc, x), c))
     }
 
     /// Lagrange interpolation at 0 from an arbitrary set of shares with
@@ -84,24 +91,15 @@ impl ShamirCtx {
     /// `deg(f) + 1` shares of the (possibly product-raised) polynomial.
     pub fn reconstruct(&self, shares: &[ShamirShare]) -> u64 {
         assert!(!shares.is_empty(), "cannot interpolate zero shares");
-        let p = self.p;
-        let mut secret = 0u64;
         for (i, si) in shares.iter().enumerate() {
-            // λᵢ = Π_{j≠i} xⱼ / (xⱼ − xᵢ), evaluated at 0.
-            let mut num = 1u64;
-            let mut den = 1u64;
-            for (j, sj) in shares.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
+            for sj in &shares[..i] {
                 assert_ne!(si.x, sj.x, "duplicate evaluation point {}", si.x);
-                num = mul_mod(num, sj.x % p, p);
-                den = mul_mod(den, sub_mod(sj.x, si.x, p), p);
             }
-            let lambda = mul_mod(num, inv_mod(den, p).expect("field inverse"), p);
-            secret = add_mod(secret, mul_mod(si.y, lambda, p), p);
         }
-        secret
+        let xs: Vec<u64> = shares.iter().map(|s| s.x).collect();
+        shares.iter().enumerate().fold(0u64, |secret, (i, si)| {
+            m61::add(secret, m61::mul(si.y, lagrange_weight(&xs, i)))
+        })
     }
 
     /// Homomorphic addition of two shares at the same point.
@@ -110,7 +108,7 @@ impl ShamirCtx {
         assert_eq!(a.x, b.x, "cannot add shares at different points");
         ShamirShare {
             x: a.x,
-            y: add_mod(a.y, b.y, self.p),
+            y: m61::add(a.y, b.y),
         }
     }
 
@@ -122,7 +120,7 @@ impl ShamirCtx {
         assert_eq!(a.x, b.x, "cannot multiply shares at different points");
         ShamirShare {
             x: a.x,
-            y: mul_mod(a.y, b.y, self.p),
+            y: m61::mul(a.y, b.y),
         }
     }
 
@@ -131,7 +129,7 @@ impl ShamirCtx {
     pub fn scale_share(&self, a: ShamirShare, k: u64) -> ShamirShare {
         ShamirShare {
             x: a.x,
-            y: mul_mod(a.y, k % self.p, self.p),
+            y: m61::mul(a.y, k),
         }
     }
 
@@ -148,15 +146,15 @@ impl ShamirCtx {
             "need more shares ({count}) than the degree ({})",
             self.degree
         );
-        let mut out = vec![Vec::with_capacity(secrets.len()); count];
+        let mut out: Vec<Vec<u64>> = (0..count).map(|_| vec![0u64; secrets.len()]).collect();
         let mut coeffs = vec![0u64; self.degree + 1];
-        for &s in secrets {
-            coeffs[0] = s % self.p;
+        for (i, &s) in secrets.iter().enumerate() {
+            coeffs[0] = m61::reduce(s as u128);
             for c in coeffs.iter_mut().skip(1) {
-                *c = prg.below(self.p);
+                *c = Self::coeff(prg);
             }
             for (k, col) in out.iter_mut().enumerate() {
-                col.push(self.eval_poly(&coeffs, (k + 1) as u64));
+                col[i] = Self::eval_poly(&coeffs, (k + 1) as u64);
             }
         }
         out
@@ -168,36 +166,31 @@ impl ShamirCtx {
     /// is what makes the flat [`ShamirCtx::reconstruct_raw_with`] path fast.
     pub fn lagrange_at_zero(&self, k: usize) -> Vec<u64> {
         assert!(k >= 1, "need at least one evaluation point");
-        let p = self.p;
-        (1..=k as u64)
-            .map(|xi| {
-                let mut num = 1u64;
-                let mut den = 1u64;
-                for xj in 1..=k as u64 {
-                    if xi == xj {
-                        continue;
-                    }
-                    num = mul_mod(num, xj % p, p);
-                    den = mul_mod(den, sub_mod(xj, xi, p), p);
-                }
-                mul_mod(num, inv_mod(den, p).expect("field inverse"), p)
-            })
-            .collect()
+        let xs: Vec<u64> = (1..=k as u64).collect();
+        (0..k).map(|i| lagrange_weight(&xs, i)).collect()
     }
 
     /// Flat reconstruction from raw per-server values `ys[k]` (points `k+1`)
     /// using precomputed [`ShamirCtx::lagrange_at_zero`] weights: a single
     /// multiply-accumulate pass, no allocation, no inversions. Hot-path-only
     /// API — results are bit-identical to [`ShamirCtx::reconstruct_raw`].
+    /// The weights must be reduced field elements, as
+    /// [`ShamirCtx::lagrange_at_zero`] returns them; the `y` values may be
+    /// any `u64`.
     #[inline]
     pub fn reconstruct_raw_with(&self, ys: &[u64], lambda: &[u64]) -> u64 {
         assert_eq!(ys.len(), lambda.len(), "weights must match share count");
-        let p = self.p;
-        let mut secret = 0u64;
-        for (&y, &l) in ys.iter().zip(lambda) {
-            secret = add_mod(secret, mul_mod(y, l, p), p);
-        }
-        secret
+        // A `u64` times a reduced weight is below 2^125, so eight products
+        // fit one u128 accumulator: one reduction per eight shares.
+        ys.chunks(8)
+            .zip(lambda.chunks(8))
+            .fold(0u64, |secret, (ys, ls)| {
+                let dot = ys.iter().zip(ls).fold(0u128, |acc, (&y, &l)| {
+                    assert!(l < MERSENNE_61, "Lagrange weight {l} is not reduced");
+                    acc + y as u128 * l as u128
+                });
+                m61::add(secret, m61::reduce(dot))
+            })
     }
 
     /// Reconstruct from raw per-server values `ys[k]` sampled at
@@ -215,13 +208,67 @@ impl ShamirCtx {
     }
 }
 
+/// The Lagrange weight at 0 of point `xs[i]` among the distinct points
+/// `xs`: `λᵢ = Π_{j≠i} xⱼ / (xⱼ − xᵢ)` in `F_p`.
+fn lagrange_weight(xs: &[u64], i: usize) -> u64 {
+    let p = MERSENNE_61;
+    let mut num = 1u64;
+    let mut den = 1u64;
+    for (j, &xj) in xs.iter().enumerate() {
+        if i == j {
+            continue;
+        }
+        num = m61::mul(num, xj);
+        den = m61::mul(den, sub_mod(xj, xs[i], p));
+    }
+    m61::mul(num, inv_mod(den, p).expect("field inverse"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arith::{add_mod, mul_mod};
     use proptest::prelude::*;
 
     fn ctx() -> ShamirCtx {
         ShamirCtx::default()
+    }
+
+    /// Degree-1 sharing at points `1..=3` on the generic `u128 %`
+    /// arithmetic — the reference the field kernels must match bit for
+    /// bit, PRG draw order included.
+    fn reference_share_vector(secrets: &[u64], prg: &mut Prg) -> Vec<Vec<u64>> {
+        let p = MERSENNE_61;
+        let mut out = vec![Vec::new(); 3];
+        for &s in secrets {
+            let a = prg.below(p);
+            for (k, col) in out.iter_mut().enumerate() {
+                col.push(add_mod(mul_mod(a, k as u64 + 1, p), s % p, p));
+            }
+        }
+        out
+    }
+
+    /// Weighted reconstruction on the generic `u128 %` arithmetic.
+    fn reference_reconstruct(ys: &[u64], lambda: &[u64]) -> u64 {
+        let p = MERSENNE_61;
+        ys.iter()
+            .zip(lambda)
+            .fold(0, |acc, (&y, &l)| add_mod(acc, mul_mod(y, l, p), p))
+    }
+
+    /// Half the values just below/at/above p or near `u64::MAX` (what a
+    /// malicious party may send), half uniform `u64`s.
+    fn unreduced() -> impl Strategy<Value = u64> {
+        const EDGES: [u64; 6] = [
+            0,
+            MERSENNE_61 - 1,
+            MERSENNE_61,
+            MERSENNE_61 + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        (0..2 * EDGES.len(), any::<u64>()).prop_map(|(i, r)| EDGES.get(i).copied().unwrap_or(r))
     }
 
     #[test]
@@ -358,7 +405,7 @@ mod tests {
     #[should_panic(expected = "need more shares")]
     fn too_few_shares_for_degree_panics() {
         let mut prg = Prg::from_seed(8);
-        ShamirCtx::new(MERSENNE_61, 2).share(5, 2, &mut prg);
+        ShamirCtx::new(2).share(5, 2, &mut prg);
     }
 
     #[test]
@@ -389,16 +436,39 @@ mod tests {
         }
 
         #[test]
-        fn prop_flat_reconstruct_parity(ys in proptest::collection::vec(0u64..MERSENNE_61, 2..6)) {
+        fn prop_flat_reconstruct_parity(ys in proptest::collection::vec(unreduced(), 2..20)) {
             // The flat weighted path must agree bit-for-bit with the share-
-            // struct path on arbitrary (even non-polynomial) y values.
+            // struct path and the `u128 %` reference on arbitrary (even
+            // non-polynomial, unreduced) y values.
             let c = ctx();
             let lambda = c.lagrange_at_zero(ys.len());
-            prop_assert_eq!(c.reconstruct_raw_with(&ys, &lambda), c.reconstruct_raw(&ys));
+            let flat = c.reconstruct_raw_with(&ys, &lambda);
+            prop_assert_eq!(flat, c.reconstruct_raw(&ys));
+            prop_assert_eq!(flat, reference_reconstruct(&ys, &lambda));
         }
 
         #[test]
-        fn prop_share_vector_matches_scalar_share(seed: u64, secrets in proptest::collection::vec(0u64..MERSENNE_61, 0..64)) {
+        fn prop_share_vector_matches_u128_reference(seed: u64, secrets in proptest::collection::vec(unreduced(), 0..64)) {
+            // Unreduced secrets included: the field kernels must produce the
+            // generic arithmetic's shares and consume the same PRG stream.
+            let mut prg = Prg::from_seed(seed);
+            let mut reference_prg = Prg::from_seed(seed);
+            let vecs = ctx().share_vector(&secrets, 3, &mut prg);
+            prop_assert_eq!(vecs, reference_share_vector(&secrets, &mut reference_prg));
+            prop_assert_eq!(prg.next_u64(), reference_prg.next_u64());
+        }
+
+        #[test]
+        fn prop_share_ops_match_u128_reference(a in unreduced(), b in unreduced(), k in unreduced()) {
+            let c = ctx();
+            let (sa, sb) = (ShamirShare { x: 2, y: a }, ShamirShare { x: 2, y: b });
+            prop_assert_eq!(c.add_shares(sa, sb).y, add_mod(a, b, MERSENNE_61));
+            prop_assert_eq!(c.mul_shares(sa, sb).y, mul_mod(a, b, MERSENNE_61));
+            prop_assert_eq!(c.scale_share(sa, k).y, mul_mod(a, k % MERSENNE_61, MERSENNE_61));
+        }
+
+        #[test]
+        fn prop_share_vector_matches_scalar_share(seed: u64, secrets in proptest::collection::vec(unreduced(), 0..64)) {
             // Buffer-reusing bulk sharing must consume the identical PRG
             // stream as per-secret `share` calls.
             let c = ctx();
@@ -415,13 +485,16 @@ mod tests {
         }
 
         #[test]
-        fn prop_single_share_uniform_coverage(secret in 0u64..97, seed: u64) {
-            // Over a tiny field, any share value is possible for any secret:
-            // sharing with different randomness moves the share around.
-            let c = ShamirCtx::new(97, 1);
-            let mut prg = Prg::from_seed(seed);
-            let sh = c.share(secret, 2, &mut prg);
-            prop_assert!(sh[0].y < 97);
+        fn prop_single_share_uniform_coverage(secret in unreduced(), seed: u64) {
+            // Any share value is possible for any secret: sharing with
+            // different randomness moves the share around the field (two
+            // draws collide with probability 1/p), and every share is a
+            // reduced field element.
+            let c = ctx();
+            let a = c.share(secret, 2, &mut Prg::from_seed(seed));
+            let b = c.share(secret, 2, &mut Prg::from_seed(seed ^ 1));
+            prop_assert!(a.iter().chain(&b).all(|s| s.y < MERSENNE_61));
+            prop_assert_ne!(a[0].y, b[0].y);
         }
     }
 }

@@ -232,10 +232,6 @@ pub(crate) fn server_loop(
                 node.write().set_tamper(t);
                 reply(link.as_ref(), tag, Message::Ack)?;
             }
-            Message::VersionProbe => {
-                let v = node.read().version();
-                reply(link.as_ref(), tag, Message::Version(v))?;
-            }
             Message::RangeVersionProbe => {
                 let v = node.read().range_versions();
                 reply(link.as_ref(), tag, Message::Versions(v))?;
@@ -561,32 +557,6 @@ fn domain_loop(
                             }
                         }
                         reply(owner_link.as_ref(), tag, Message::Versions(stamps))
-                    };
-                    let _ = probe();
-                }));
-            }
-            Message::VersionProbe => {
-                // The domain's version is the sum of its shard workers' —
-                // the same rule as the in-process `ShardedNode::version`,
-                // so the two sharded deployments agree by construction.
-                let shard_links = Arc::clone(&shard_links);
-                let owner_link = Arc::clone(&owner_link);
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                workers.push(std::thread::spawn(move || {
-                    let probe = || -> Result<(), NetError> {
-                        let mut pendings = Vec::with_capacity(shard_links.len());
-                        for link in shard_links.iter() {
-                            pendings.push(link.begin(id)?);
-                            link.send(id, Message::VersionProbe)?;
-                        }
-                        let mut version = 0u64;
-                        for pending in pendings {
-                            match pending.recv()? {
-                                Message::Version(v) => version += v,
-                                _ => return Err(NetError::Disconnected),
-                            }
-                        }
-                        reply(owner_link.as_ref(), tag, Message::Version(version))
                     };
                     let _ = probe();
                 }));
@@ -1078,7 +1048,6 @@ impl NetCluster {
                 ServerCmd::AssembleFpos { claims, threads } => {
                     Message::AssembleFpos { claims, threads }
                 }
-                ServerCmd::Version => Message::VersionProbe,
                 ServerCmd::RangeVersions => Message::RangeVersionProbe,
             };
             let link = &self.links[s];
@@ -1094,7 +1063,6 @@ impl NetCluster {
         for (s, pending) in &pendings {
             match pending.recv().map_err(transport_err)? {
                 Message::Outputs(outs) => replies.push(ServerReply::Vectors(outs)),
-                Message::Version(v) => replies.push(ServerReply::Version(v)),
                 Message::Versions(v) => replies.push(ServerReply::Versions(v)),
                 Message::WideForwarded { rows, width, seq } => {
                     // The receipt must belong to the round we just issued

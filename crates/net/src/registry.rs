@@ -635,11 +635,13 @@ impl ClusterListener {
     pub fn start(self) -> Result<NetCluster, NetError> {
         let deadline = Instant::now() + self.inner.cfg.attach_timeout;
         loop {
-            let workers_ready = self
-                .inner
-                .domains
-                .iter()
-                .all(|d| d.read().workers.len() >= d.read().target);
+            // One read guard per domain: two guards on one lock in a single
+            // expression deadlock once an attach's re-fan queues a writer
+            // between them.
+            let workers_ready = self.inner.domains.iter().all(|d| {
+                let st = d.read();
+                st.workers.len() >= st.target
+            });
             let ann_ready = self.inner.announcer_ctl.lock().is_some()
                 && self
                     .inner
@@ -1649,37 +1651,6 @@ fn elastic_domain_loop(
                     let _ = reply(owner_link.as_ref(), tag, msg);
                 }));
             }
-            Message::VersionProbe => {
-                let shared = Arc::clone(&shared);
-                let owner_link = Arc::clone(&owner_link);
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                workers.push(std::thread::spawn(move || {
-                    let st = shared.read();
-                    // Primary-per-range probe (replica fallback on link
-                    // failure only): versions are a per-holder notion —
-                    // summing every replica would double-count ranges.
-                    let probe = || -> Result<u64, u64> {
-                        if st.workers.is_empty() {
-                            return Err(NO_WORKERS);
-                        }
-                        let holders = st.holder_links();
-                        let mut version = 0u64;
-                        for (r, hs) in holders.iter().enumerate() {
-                            match ask_range(hs, id, &Message::VersionProbe) {
-                                Some(Message::Version(v)) => version += v,
-                                _ => return Err(r as u64),
-                            }
-                        }
-                        Ok(version)
-                    };
-                    let msg = match probe() {
-                        Ok(v) => Message::Version(v),
-                        Err(node) => Message::NodeDown { node },
-                    };
-                    drop(st);
-                    let _ = reply(owner_link.as_ref(), tag, msg);
-                }));
-            }
             Message::RangeVersionProbe => {
                 let shared = Arc::clone(&shared);
                 let owner_link = Arc::clone(&owner_link);
@@ -1963,10 +1934,6 @@ fn worker_loop(
                     cur_spec.len += added;
                 }
                 reply(link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::VersionProbe => {
-                let v = version_base + node.read().version();
-                reply(link.as_ref(), tag, Message::Version(v))?;
             }
             Message::RangeVersionProbe => {
                 // Fold the re-assignment base into every stamp: a healed

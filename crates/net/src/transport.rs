@@ -325,10 +325,10 @@ mod tests {
         // Give the pump time to park inside read_exact, then send from
         // the same endpoint; b echoes so the pump can finish.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        a.send(&Message::VersionProbe).unwrap();
-        assert_eq!(b.recv().unwrap(), Message::VersionProbe);
-        b.send(&Message::Version(3)).unwrap();
-        assert_eq!(pump.join().unwrap(), Message::Version(3));
+        a.send(&Message::RangeVersionProbe).unwrap();
+        assert_eq!(b.recv().unwrap(), Message::RangeVersionProbe);
+        b.send(&Message::Versions(vec![(0, 1, 3)])).unwrap();
+        assert_eq!(pump.join().unwrap(), Message::Versions(vec![(0, 1, 3)]));
     }
 
     #[test]

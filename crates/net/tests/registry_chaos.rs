@@ -533,6 +533,49 @@ fn announcer_reconnects_and_wide_rounds_resume() {
 
 /// A late attach after a failover is absorbed: the under-strength domain
 /// re-plans over the larger worker set and keeps answering correctly.
+/// `start` polls every domain's worker count while each attach re-fans
+/// its domain under the write lock. With the workers attaching from
+/// another thread during the poll, `start` must return within
+/// `attach_timeout`: a poll that holds two read guards on one domain
+/// lock deadlocks once a re-fan writer queues between them.
+#[test]
+fn start_returns_while_workers_attach_concurrently() {
+    let setup = make_setup();
+    let cfg = fast_cfg();
+    let bound = cfg.attach_timeout + Duration::from_secs(10);
+    let listener = ClusterListener::bind(setup.clone(), SHARDS, cfg).unwrap();
+    let addr = listener.addr();
+    let (started_tx, started_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = started_tx.send(listener.start());
+    });
+    let attach_setup = setup.clone();
+    let attacher = std::thread::spawn(move || {
+        let dial = Duration::from_secs(10);
+        let mut workers = Vec::new();
+        for _ in 0..SHARDS {
+            for (k, params) in attach_setup.servers.iter().enumerate() {
+                workers.push(ShardWorker::connect(params.clone(), k, addr, dial).unwrap());
+            }
+        }
+        let announcer = AnnouncerNode::connect(attach_setup.announcer.clone(), addr, dial).unwrap();
+        (workers, announcer)
+    });
+    let cluster = started_rx
+        .recv_timeout(bound)
+        .expect("start did not return while workers attached")
+        .unwrap();
+    let (workers, announcer) = attacher.join().unwrap();
+    setup_and_upload(&cluster, &rows());
+    assert_eq!(cluster.psi_count().unwrap(), 2, "cells 1 and 7 are common");
+
+    cluster.shutdown().unwrap();
+    let _ = announcer.join();
+    for w in workers {
+        let _ = w.join();
+    }
+}
+
 #[test]
 fn post_failover_reattach_rejoins_the_domain() {
     let setup = make_setup();

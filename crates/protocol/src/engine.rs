@@ -179,15 +179,12 @@ pub enum ServerCmd {
         /// Worker threads the server should use.
         threads: u32,
     },
-    /// Probe the server's store version (see [`ColumnStore::version`]) —
-    /// a parameter-free, O(1) command the PSI-round cache
-    /// ([`crate::cache`]) uses to validate its entries without rerunning
-    /// any stored-column work.
-    Version,
     /// Probe the server's per-range version stamps (see
-    /// [`ColumnStore::range_versions`]) — the delta-upload-aware sibling
-    /// of [`ServerCmd::Version`], O(#epochs), reported in **global** row
-    /// coordinates so sharded backends can concatenate worker replies.
+    /// [`ColumnStore::range_versions`]) — the parameter-free, O(#epochs)
+    /// command the PSI-round cache ([`crate::cache`]) uses to validate its
+    /// entries without rerunning any stored-column work, reported in
+    /// **global** row coordinates so sharded backends can concatenate
+    /// worker replies.
     RangeVersions,
 }
 
@@ -222,10 +219,6 @@ pub enum ServerReply {
     },
     /// Output of a [`ServerCmd::AssembleFpos`].
     Fpos(Vec<Vec<u64>>),
-    /// Reply to [`ServerCmd::Version`]: the store's current monotonic
-    /// version. Never reaches a plan — only the caching decorator
-    /// ([`crate::cache::CachedExec`]) issues version probes.
-    Version(u64),
     /// Reply to [`ServerCmd::RangeVersions`]: the store's per-range
     /// version stamps `(start, len, version)` in global row coordinates,
     /// ordered by start. Never reaches a plan.
@@ -774,7 +767,6 @@ impl ServerNode {
             g: sp.g,
             eta_prime: sp.eta_prime,
             m_share: sp.m_share,
-            field: sp.field,
             pf_s1: Permutation::identity(0),
             pf_s2: Permutation::identity(0),
             pf_owners: sp.pf_owners.clone(),
@@ -998,7 +990,6 @@ impl ServerNode {
                     (*threads).max(1) as usize,
                 )?))
             }
-            ServerCmd::Version => Ok(ServerReply::Version(self.version())),
             ServerCmd::RangeVersions => Ok(ServerReply::Versions(self.range_versions())),
         }
     }

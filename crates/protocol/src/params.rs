@@ -16,12 +16,12 @@
 //! | PF_s1, PF_s2 (over b)      |   ✗    |    ✓    |     ✗     |
 //! | F(x) (order polynomial)    |   ✓    |    ✗    |     ✗     |
 //! | PRG seed (PSU blinding)    |   ✗    |    ✓    |     ✗     |
-//! | Shamir field prime p       |   ✓    |    ✓    |     ✗     |
+//! | Shamir field (p = 2^61−1)  |   ✓    |    ✓    |     ✗     |
 
 use crate::error::{ProtocolError, Result};
 use prism_core::{
     choose_delta, share2, GroupParams, OrderPolynomial, Permutation, PermutationFamily, Prg,
-    ShamirCtx, MERSENNE_61,
+    ShamirCtx,
 };
 use serde::{Deserialize, Serialize};
 
@@ -41,8 +41,6 @@ pub struct SystemConfig {
     /// Additive group order δ. `None` lets the initiator pick a prime with
     /// headroom above `m` so owners can join later without re-keying (§4).
     pub delta: Option<u64>,
-    /// Shamir field prime (default `2^61 − 1`).
-    pub field_prime: u64,
     /// Upper bound of the aggregation attribute `A_x` — sizes the
     /// order-polynomial blinding group for max/median.
     pub agg_domain_max: u64,
@@ -57,7 +55,6 @@ impl SystemConfig {
             owners,
             domain_size,
             delta: None,
-            field_prime: MERSENNE_61,
             agg_domain_max: 1 << 20,
             seed: 0x005E_ED0F_9154,
         }
@@ -130,8 +127,6 @@ pub struct ServerParams {
     /// This server's additive share of `m` (provisioned by the initiator;
     /// only meaningful for the two additive servers).
     pub m_share: u64,
-    /// Shamir field context (aggregation round).
-    pub field: ShamirCtx,
     /// Server-side permutation 1 (over `b`) — PSI count & verification.
     pub pf_s1: Permutation,
     /// Server-side permutation 2 (over `b`).
@@ -298,7 +293,6 @@ impl Initiator {
         let poly = OrderPolynomial::generate(cfg.owners, &mut prg);
         let wide_width = poly.share_width(cfg.agg_domain_max);
         let psu_prg_seed = prg.next_u64();
-        let field = ShamirCtx::new(cfg.field_prime, 1);
 
         // Additive shares of m for the two additive servers (§4: "any DB
         // owner or the initiator provides additive shares of m").
@@ -309,7 +303,7 @@ impl Initiator {
             b: cfg.domain_size,
             delta,
             eta: group.eta,
-            field,
+            field: ShamirCtx::default(),
             pf_db1: family.pf_db1.clone(),
             pf_db2: family.pf_db2.clone(),
             pf_owners: pf_owners.clone(),
@@ -331,7 +325,6 @@ impl Initiator {
                     1 => m_share_2,
                     _ => 0, // third server never runs the additive round
                 },
-                field,
                 pf_s1: family.pf_s1.clone(),
                 pf_s2: family.pf_s2.clone(),
                 pf_owners: pf_owners.clone(),

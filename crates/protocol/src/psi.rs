@@ -220,14 +220,13 @@ mod tests {
     /// η′=143, g=3, m=3 shared as (1, 2), identity PF_db1.
     fn paper_setup() -> (OwnerParams, ServerParams, ServerParams) {
         let _group = GroupParams::from_parts(5, 11, 13, 3).unwrap();
-        let field = prism_core::ShamirCtx::default();
         let ident = Permutation::identity(3);
         let op = OwnerParams {
             m: 3,
             b: 3,
             delta: 5,
             eta: 11,
-            field,
+            field: prism_core::ShamirCtx::default(),
             pf_db1: ident.clone(),
             pf_db2: ident.clone(),
             pf_owners: Permutation::identity(3),
@@ -243,7 +242,6 @@ mod tests {
             g: 3,
             eta_prime: 143,
             m_share,
-            field,
             pf_s1: ident.clone(),
             pf_s2: ident.clone(),
             pf_owners: Permutation::identity(3),

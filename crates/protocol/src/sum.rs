@@ -33,7 +33,7 @@
 use crate::chunk::fill_chunks;
 use crate::error::{ProtocolError, Result};
 use crate::params::{OwnerParams, ServerParams, SHAMIR_SERVERS};
-use prism_core::arith::{add_mod, mul_mod};
+use prism_core::arith::m61;
 
 /// Round-2 computation at server φ (Equation 11).
 ///
@@ -91,18 +91,16 @@ pub fn server_sum_round_into(
             sp.b
         )));
     }
-    let p = sp.field.p;
     fill_chunks(out, threads, |start, chunk| {
-        chunk.fill(0);
-        // Per-cell sum of owner payload shares, then one multiply by z.
-        for shares in payload_shares {
-            let src = &shares[start..start + chunk.len()];
-            for (a, &s) in chunk.iter_mut().zip(src) {
-                *a = add_mod(*a, s, p);
-            }
-        }
+        // Per cell: the owners' payload shares summed exactly in u128 (no
+        // count of u64 shares that fits in memory can overflow it), one
+        // reduction, then one multiply by z.
         for (off, v) in chunk.iter_mut().enumerate() {
-            *v = mul_mod(*v, z_shares[start + off], p);
+            let i = start + off;
+            let sum = payload_shares
+                .iter()
+                .fold(0u128, |acc, shares| acc + shares[i] as u128);
+            *v = m61::mul(m61::reduce(sum), z_shares[i]);
         }
     });
     Ok(())
@@ -129,14 +127,13 @@ pub fn owner_finalize(outputs: [&[u64]; SHAMIR_SERVERS], op: &OwnerParams) -> Re
     // (bit-identical to per-cell `reconstruct_raw`, which recomputed the
     // weights — inversions included — for every cell).
     let lambda = op.field.lagrange_at_zero(SHAMIR_SERVERS);
-    let mut sums = Vec::with_capacity(b);
-    for i in 0..b {
-        sums.push(
-            op.field
-                .reconstruct_raw_with(&[outputs[0][i], outputs[1][i], outputs[2][i]], &lambda),
-        );
-    }
-    Ok(sums)
+    let [o0, o1, o2] = outputs;
+    Ok(o0
+        .iter()
+        .zip(o1)
+        .zip(o2)
+        .map(|((&y0, &y1), &y2)| op.field.reconstruct_raw_with(&[y0, y1, y2], &lambda))
+        .collect())
 }
 
 /// Owner-side verification: the verification vector (still in `PF_db1`
@@ -165,7 +162,9 @@ mod tests {
     use crate::params::{Initiator, Setup, SystemConfig};
     use crate::psi;
     use crate::tables::{share_indicator, share_payload, OwnerTable, PayloadShares};
-    use prism_core::{DenseIntDomain, Prg};
+    use prism_core::arith::{add_mod, mul_mod};
+    use prism_core::{DenseIntDomain, Prg, MERSENNE_61};
+    use proptest::prelude::*;
 
     struct Fix {
         setup: Setup,
@@ -394,5 +393,56 @@ mod tests {
         let rows = vec![vec![(1u64, 0)], vec![(1u64, 0)]];
         let f = fixture(&rows, 1, 7);
         assert_eq!(run_psi_sum(&f, 1), vec![0]);
+    }
+
+    const CELLS: usize = 24;
+
+    /// Half the values at/around p or near `u64::MAX` (what a malicious
+    /// owner or server may send instead of a reduced share), half uniform.
+    fn unreduced() -> impl Strategy<Value = u64> {
+        const EDGES: [u64; 6] = [
+            0,
+            MERSENNE_61 - 1,
+            MERSENNE_61,
+            MERSENNE_61 + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        (0..2 * EDGES.len(), any::<u64>()).prop_map(|(i, r)| EDGES.get(i).copied().unwrap_or(r))
+    }
+
+    fn column() -> impl Strategy<Value = Vec<u64>> {
+        proptest::collection::vec(unreduced(), CELLS)
+    }
+
+    proptest! {
+        #[test]
+        fn prop_server_sum_matches_u128_reference(
+            payload in proptest::collection::vec(column(), 3),
+            z in column(),
+            threads in 1usize..4,
+        ) {
+            let f = fixture(&vec![vec![(1u64, 1)]; 3], CELLS as u64, 8);
+            let refs: Vec<&[u64]> = payload.iter().map(|c| c.as_slice()).collect();
+            let out = server_sum_round(&refs, &z, &f.setup.servers[0], threads).unwrap();
+            let p = MERSENNE_61;
+            for i in 0..CELLS {
+                let sum = payload.iter().fold(0, |acc, c| add_mod(acc, c[i], p));
+                prop_assert_eq!(out[i], mul_mod(sum, z[i], p), "cell {}", i);
+            }
+        }
+
+        #[test]
+        fn prop_owner_finalize_matches_u128_reference(outs in proptest::collection::vec(column(), 3)) {
+            let f = fixture(&vec![vec![(1u64, 1)]; 2], CELLS as u64, 9);
+            let sums = owner_finalize([&outs[0], &outs[1], &outs[2]], &f.setup.owner).unwrap();
+            let p = MERSENNE_61;
+            // λ at 0 for points 1, 2, 3 is (3, −3, 1).
+            let lambda = [3, p - 3, 1];
+            for i in 0..CELLS {
+                let expect = (0..3).fold(0, |acc, k| add_mod(acc, mul_mod(outs[k][i], lambda[k], p), p));
+                prop_assert_eq!(sums[i], expect, "cell {}", i);
+            }
+        }
     }
 }

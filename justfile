@@ -48,9 +48,10 @@ bench-check:
 # drives N ∈ {1,4,16} concurrent query streams through the session
 # multiplexer
 # (asserting every concurrent answer matches serial) and writes
-# BENCH_serve.json; `hotpath` times the per-row server kernels in both
-# their Vec-baseline and flat in-place forms (counting allocations per
-# warm call) and writes BENCH_hotpath.json; `failover` kills a shard
+# BENCH_serve.json; `hotpath` times the per-row kernels against their
+# baselines (Vec-returning forms, or the generic `u128 %` arithmetic for
+# the Shamir field kernels `shamir_share` and `sum_round`), counting
+# allocations per warm call, and writes BENCH_hotpath.json; `failover` kills a shard
 # worker on the elastic TCP deployment at rf=1 (replay heal) and rf=2
 # (replica-promotion heal, zero upload-log replay), times both heals
 # (asserting the healed answers match the pre-kill answers exactly) and
@@ -62,6 +63,7 @@ bench-smoke: bench-check
     grep -q '"warm_hits_after_append": [1-9]' BENCH_stream.json
     grep -q '"queries_per_second"' BENCH_serve.json
     grep -q '"max_speedup"' BENCH_hotpath.json
+    grep -q '"kernel": "shamir_share"' BENCH_hotpath.json
     grep -q '"failovers": 1' BENCH_failover.json
     grep -q '"heal": "promotion"' BENCH_failover.json
 
