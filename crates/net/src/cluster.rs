@@ -6,17 +6,24 @@
 //! no-server-communication property of §3.2 holds by construction, and
 //! the per-link meters show exactly what crossed each edge.
 //!
-//! Since PR 3 a domain is **sharded**: behind the owner-facing link sits a
-//! domain router thread that owns `k ≥ 1` row-range shard workers, each a
-//! plain engine [`ServerNode`] over its own metered link (so a worker can
-//! move to another process or machine without touching protocol code).
-//! The router splits Phase-1 uploads and every [`Message::RunBatch`] by
-//! rows ([`ShardPlan`]), fans the sub-batches out as shard-tagged
-//! [`Message::ShardRun`] envelopes, and merges the shard rows back with
-//! [`prism_protocol::shard::merge_shard_outputs`] — applying the domain's
-//! tampering behaviour and finish permutations *server-side*, where
-//! `PF_s1`/`PF_s2` are allowed to live. The owner side never sees shard
-//! granularity in replies; it only meters it ([`NetReport`]).
+//! A domain may be **sharded**: behind the owner-facing link sits one
+//! domain router thread fronting `k ≥ 1` row-range shard workers, each
+//! an engine [`ServerNode`] in the shard-worker loop over its own metered
+//! link (so a worker can move to another process or machine without
+//! touching protocol code). Static and elastic deployments run the same
+//! router and the same worker loop: the router reads its plan and worker
+//! links from a per-domain routing state, which the static constructors
+//! build once (one worker per range, replication 1, no prober) and which
+//! the [`crate::registry`] control plane keeps re-planning as workers
+//! attach and die. The router splits Phase-1 uploads and every
+//! [`Message::RunBatch`] by rows ([`ShardPlan`]), fans the sub-batches
+//! out as shard-tagged [`Message::ShardRun`] envelopes, and merges the
+//! shard rows back with [`prism_protocol::shard::merge_shard_outputs`] —
+//! applying the domain's tampering behaviour and finish permutations
+//! *server-side*, where `PF_s1`/`PF_s2` are allowed to live. The owner
+//! side never sees shard granularity in replies; it only meters it
+//! ([`NetReport`]). An unsharded domain has no router: its single node
+//! sits directly behind the owner link.
 //!
 //! Since PR 4 the **announcer is a fourth networked node**: a thread
 //! holding only [`AnnouncerParams`],
@@ -37,6 +44,7 @@
 //! tampers).
 
 use crate::mux::{Admission, MuxLink, Pending, QueryId};
+use crate::registry::Liveness;
 use crate::transport::{channel_pair, Link, LinkStats, NetError, TcpLink};
 use crate::wire::{recycle_vecs, Column, Message};
 use parking_lot::RwLock;
@@ -52,7 +60,7 @@ use prism_protocol::median::MedianCell;
 use prism_protocol::params::{
     AnnouncerParams, ServerParams, Setup, ADDITIVE_SERVERS, SHAMIR_SERVERS,
 };
-use prism_protocol::shard::{merge_shard_outputs, shard_server_params, ShardPlan};
+use prism_protocol::shard::{merge_shard_outputs, shard_server_params, ShardPlan, ShardSpec};
 use prism_protocol::{average, plans, ProtocolError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -162,23 +170,20 @@ pub(crate) fn decode_perm_ext(
     }
 }
 
-/// Run one shard worker's message loop until `Shutdown`: an engine
-/// [`ServerNode`] answering wire commands. Workers answer both the plain
-/// [`Message::RunBatch`] and the shard-tagged [`Message::ShardRun`]
-/// envelope (echoing the shard index so the router can detect crossed
-/// links). An additive server domain additionally holds the
-/// server→announcer `announcer` link for the wide (max/median) rounds;
-/// shard workers behind a router hold `None` — their router fronts the
-/// announcer edge for the whole domain.
+/// Run an unsharded domain's message loop until `Shutdown`: an engine
+/// [`ServerNode`] holding the full domain parameters, sitting directly
+/// behind the owner link. An additive server domain additionally holds
+/// the server→announcer `announcer` link for the wide (max/median)
+/// rounds.
 ///
-/// **Concurrency.** Query rounds (`RunBatch`, `ShardRun`, the wide
-/// commands) are served on spawned worker threads holding a read lock on
-/// the node, so N queries multiplexed over this link compute in
-/// parallel; each reply carries the request's query tag, and the owner's
-/// per-link pump routes it to the right query. Store mutations (uploads,
-/// tamper control) take the write lock inline on the serving thread —
-/// the link's receive order is the linearization point, exactly as it
-/// was when the whole loop was sequential.
+/// **Concurrency.** Query rounds (`RunBatch`, the wide commands) are
+/// served on spawned worker threads holding a read lock on the node, so N
+/// queries multiplexed over this link compute in parallel; each reply
+/// carries the request's query tag, and the owner's per-link pump routes
+/// it to the right query. Store mutations (uploads, tamper control) take
+/// the write lock inline on the serving thread — the link's receive order
+/// is the linearization point, exactly as it was when the whole loop was
+/// sequential.
 pub(crate) fn server_loop(
     params: ServerParams,
     link: Box<dyn Link>,
@@ -191,14 +196,6 @@ pub(crate) fn server_loop(
     loop {
         let (tag, msg) = link.recv()?.untag();
         match msg {
-            Message::Upload {
-                owner,
-                column,
-                data,
-            } => {
-                node.write().store(owner as usize, column, data);
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
             Message::BulkUpload { owner, columns } => {
                 let mut node = node.write();
                 for (column, data) in columns {
@@ -236,25 +233,12 @@ pub(crate) fn server_loop(
                 let v = node.read().range_versions();
                 reply(link.as_ref(), tag, Message::Versions(v))?;
             }
-            Message::Ping { seq } => {
-                // Statically wired nodes have no assignment generation;
-                // echo 0 so a registry-driven prober still sees life.
-                reply(link.as_ref(), tag, Message::Pong { seq, generation: 0 })?;
-            }
             Message::RunBatch(batch) => {
                 let node = Arc::clone(&node);
                 let link = Arc::clone(&link);
                 workers.push(std::thread::spawn(move || {
                     let outs = run_batch_on(&node.read(), batch);
                     let _ = reply(link.as_ref(), tag, Message::Outputs(outs));
-                }));
-            }
-            Message::ShardRun { shard, batch } => {
-                let node = Arc::clone(&node);
-                let link = Arc::clone(&link);
-                workers.push(std::thread::spawn(move || {
-                    let outputs = run_batch_on(&node.read(), batch);
-                    let _ = reply(link.as_ref(), tag, Message::ShardOutputs { shard, outputs });
                 }));
             }
             Message::MaxCombine {
@@ -305,61 +289,315 @@ pub(crate) fn server_loop(
     }
 }
 
-/// Collect one `Ack` per pending shard round-trip.
-pub(crate) fn collect_acks(pendings: Vec<Pending>) -> Result<(), NetError> {
-    for p in pendings {
-        match p.recv()? {
-            Message::Ack => {}
-            _ => return Err(NetError::Disconnected),
-        }
-    }
-    Ok(())
+// ---------------------------------------------------------------------
+// Sharded domains: one router, one shard-worker loop
+// ---------------------------------------------------------------------
+
+/// One shard worker behind a domain router, as the router and the
+/// control plane track it.
+pub(crate) struct WorkerSlot {
+    pub(crate) node: u64,
+    pub(crate) label: String,
+    pub(crate) link: Arc<MuxLink>,
+    pub(crate) last_seen: Instant,
+    pub(crate) misses: u32,
+    pub(crate) liveness: Liveness,
+    /// Generation of the assignment this worker last acked.
+    pub(crate) generation: u64,
+    /// Index into the domain plan's specs of the row range this worker
+    /// holds. Several workers share a range under replication; holder
+    /// order within [`DomainState::workers`] breaks the tie — the first
+    /// holder of a range is its primary.
+    pub(crate) range: usize,
 }
 
-/// Fan one batch out across the shard links and merge the rows back,
-/// correlating the round-trips with the router-local id `corr`. Any
-/// shard-side failure funnels to `None`; the router reports it as an
-/// empty output list, which the engine's reply-shape check turns into a
-/// `MalformedResponse` at the owner (servers are malicious in this threat
-/// model — a broken shard must not panic the owner).
-pub(crate) fn route_batch(
-    plan: &ShardPlan,
-    params: &ServerParams,
-    tamper: &Tamper,
-    batch: &BatchQuery,
-    shard_links: &[Arc<MuxLink>],
-    corr: u64,
-) -> Option<Vec<Vec<u64>>> {
-    let subs = plan.split_batch(batch).ok()?;
-    let mut pendings = Vec::with_capacity(shard_links.len());
-    for (i, (sub, link)) in subs.into_iter().zip(shard_links).enumerate() {
-        let pending = link.begin(corr).ok()?;
-        link.send(
-            corr,
-            Message::ShardRun {
-                shard: i as u32,
-                batch: sub,
-            },
-        )
-        .ok()?;
-        pendings.push(pending);
+impl WorkerSlot {
+    /// A freshly attached, live worker at generation 0.
+    pub(crate) fn new(node: u64, label: String, link: Arc<MuxLink>, range: usize) -> WorkerSlot {
+        WorkerSlot {
+            node,
+            label,
+            link,
+            last_seen: Instant::now(),
+            misses: 0,
+            liveness: Liveness::Alive,
+            generation: 0,
+            range,
+        }
     }
-    let mut per_shard = Vec::with_capacity(shard_links.len());
-    for (i, pending) in pendings.into_iter().enumerate() {
-        match pending.recv().ok()? {
-            Message::ShardOutputs { shard, outputs } if shard as usize == i => {
-                per_shard.push(outputs);
+}
+
+/// A sharded domain's routing state: its (growable) parameters, the row
+/// plan, and the workers holding each range. A static deployment builds
+/// it once (one holder per range, generation 0, nobody writes it but the
+/// router's own growth); an elastic one shares it with the registry's
+/// attach dispatcher and prober, which re-plan it. The lock is the heal
+/// barrier: a route task holds `read` for its whole fan-out, a heal holds
+/// `write` across assign + replay, so every query runs entirely before
+/// or entirely after a heal — never against a half-replayed store.
+pub(crate) struct DomainState {
+    pub(crate) params: ServerParams,
+    /// Configured worker ceiling (`ranges × rf`); attaches beyond it
+    /// are rejected.
+    pub(crate) target: usize,
+    /// Replication factor each row range is stored at (when enough
+    /// workers are attached).
+    pub(crate) rf: usize,
+    pub(crate) generation: u64,
+    pub(crate) plan: ShardPlan,
+    pub(crate) workers: Vec<WorkerSlot>,
+}
+
+/// A domain with zero surviving workers is *offline*, not empty: every
+/// data-path message answers [`Message::NodeDown`] with this sentinel
+/// until a replacement worker attaches and the registry re-fans.
+const NO_WORKERS: u64 = u64::MAX;
+
+impl DomainState {
+    /// A worker-less domain carving `ranges` row ranges, each to be held
+    /// by `rf` workers.
+    pub(crate) fn new(params: ServerParams, ranges: usize, rf: usize) -> DomainState {
+        let plan = ShardPlan::new(params.b, ranges);
+        DomainState {
+            target: plan.shard_count() * rf,
+            rf,
+            generation: 0,
+            plan,
+            params,
+            workers: Vec::new(),
+        }
+    }
+
+    /// Worker indices holding plan range `r`, in attach order — the
+    /// first is the range's primary.
+    pub(crate) fn holders_of(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
+        self.workers
+            .iter()
+            .enumerate()
+            .filter(move |(_, w)| w.range == r)
+            .map(|(i, _)| i)
+    }
+
+    /// True iff every range of the current plan still has at least one
+    /// holder — the promotion precondition: no row range was lost.
+    pub(crate) fn covered(&self) -> bool {
+        (0..self.plan.shard_count()).all(|r| self.holders_of(r).next().is_some())
+    }
+
+    /// `Err(NO_WORKERS)` while the domain has no worker at all.
+    fn online(&self) -> Result<(), u64> {
+        if self.workers.is_empty() {
+            Err(NO_WORKERS)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Apply a delta upload to the routing state and name the range that
+    /// must store it. Growth (`start` at the domain end) concatenates the
+    /// finish-permutation extensions here — the router holds the domain's
+    /// real `PF_s1`/`PF_s2` — and extends the last range; a latest-epoch
+    /// re-touch must end at the domain boundary. `None` means there is
+    /// nothing to forward: an empty delta, or a malformed one, which is
+    /// acked without applying — verification catches the divergence,
+    /// exactly as for a tampering server.
+    fn delta_target(
+        &mut self,
+        start: usize,
+        added: usize,
+        pf_s1_ext: Vec<u32>,
+        pf_s2_ext: Vec<u32>,
+    ) -> Option<ShardSpec> {
+        if added == 0 {
+            return None;
+        }
+        if start == self.params.b {
+            let (e1, e2) = decode_perm_ext(pf_s1_ext, pf_s2_ext)
+                .ok()?
+                .unwrap_or_else(|| (Permutation::identity(added), Permutation::identity(added)));
+            if e1.len() != added || e2.len() != added {
+                return None;
             }
-            _ => return None, // crossed or malformed shard reply
+            self.params.pf_s1 = self.params.pf_s1.concat(&e1);
+            self.params.pf_s2 = self.params.pf_s2.concat(&e2);
+            self.params.b += added;
+            self.plan = self.plan.append(added, false);
+        } else if start + added != self.params.b {
+            return None;
         }
+        self.plan
+            .specs()
+            .last()
+            .copied()
+            .filter(|spec| spec.start <= start)
     }
-    merge_shard_outputs(&per_shard, batch, params, tamper).ok()
 }
 
-/// Run one domain's router loop until `Shutdown`: split uploads and
-/// batches by row range, forward to the shard workers, merge replies, and
-/// hold the domain-level tampering behaviour. Forwards `Shutdown` to the
-/// workers before exiting.
+/// Fan an acked store message to the workers: `mk` builds each worker's
+/// message from the range it holds, or skips the worker with `None`. The
+/// fan is tolerant per range: a holder whose link fails mid-upload is
+/// survivable as long as *some* holder of that range acked — link death
+/// is sticky, so the lagging holder can never serve a query again and
+/// the prober will reap it. `Err(worker)` (reported as
+/// [`Message::NodeDown`]) means some targeted range got no ack at all.
+fn fan_acked(
+    st: &DomainState,
+    corr: u64,
+    mk: impl Fn(&ShardSpec) -> Option<Message>,
+) -> Result<(), u64> {
+    st.online()?;
+    // Per range: `None` untargeted, `Some(acks)` otherwise.
+    let mut acked: Vec<Option<usize>> = vec![None; st.plan.shard_count()];
+    let mut pendings = Vec::with_capacity(st.workers.len());
+    let mut failed = NO_WORKERS;
+    for (i, slot) in st.workers.iter().enumerate() {
+        let Some(msg) = mk(&st.plan.specs()[slot.range]) else {
+            continue;
+        };
+        acked[slot.range].get_or_insert(0);
+        let sent = slot
+            .link
+            .begin(corr)
+            .and_then(|p| slot.link.send(corr, msg).map(|()| p));
+        match sent {
+            Ok(p) => pendings.push((i, p)),
+            Err(_) => failed = i as u64,
+        }
+    }
+    for (i, p) in pendings {
+        match p.recv() {
+            Ok(Message::Ack) => *acked[st.workers[i].range].get_or_insert(0) += 1,
+            _ => failed = i as u64,
+        }
+    }
+    if acked.contains(&Some(0)) {
+        Err(failed)
+    } else {
+        Ok(())
+    }
+}
+
+/// One request per row range, answered by the range's primary: every
+/// range's request ships to its first holder concurrently, and only a
+/// *link-level* failure (begin/send refused, or the pump dead) re-asks
+/// the range's next holder with `resend(r)`. A reply that arrives is
+/// final, right or wrong — the caller judges it, and a standby is never
+/// asked to mask a malformed answer that verification would catch.
+/// `Err(r)` (reported as [`Message::NodeDown`]): every holder of range
+/// `r` is down.
+fn fan_ranges(
+    st: &DomainState,
+    corr: u64,
+    requests: Vec<Message>,
+    resend: impl Fn(usize) -> Option<Message>,
+) -> Result<Vec<Message>, u64> {
+    st.online()?;
+    let ship = |r: usize, h: usize, msg: Message| -> Option<Pending> {
+        let slot = &st.workers[st.holders_of(r).nth(h)?];
+        let p = slot.link.begin(corr).ok()?;
+        slot.link.send(corr, msg).ok()?;
+        Some(p)
+    };
+    let firsts: Vec<Option<Pending>> = requests
+        .into_iter()
+        .enumerate()
+        .map(|(r, msg)| ship(r, 0, msg))
+        .collect();
+    let mut replies = Vec::with_capacity(firsts.len());
+    for (r, mut pending) in firsts.into_iter().enumerate() {
+        let mut next = 1;
+        let reply = loop {
+            if let Some(Ok(msg)) = pending.take().map(|p| p.recv()) {
+                break msg;
+            }
+            if next >= st.holders_of(r).count() {
+                return Err(r as u64);
+            }
+            pending = resend(r).and_then(|msg| ship(r, next, msg));
+            next += 1;
+        };
+        replies.push(reply);
+    }
+    Ok(replies)
+}
+
+/// Fan one batched round over the domain's ranges as shard-tagged
+/// [`Message::ShardRun`] envelopes and merge the rows back, applying the
+/// domain tamper and finish permutations. Each range's sub-batch ships by
+/// value; only a replica retry re-splits it from `batch`. A crash (every
+/// holder of a range down) answers [`Message::NodeDown`]; a crossed or
+/// malformed shard reply answers the empty output list, which the
+/// engine's reply-shape check turns into a `MalformedResponse` at the
+/// owner — tamper-shaped, and reported like tamper.
+fn fan_batch(st: &DomainState, tamper: &Tamper, batch: &BatchQuery, corr: u64) -> Message {
+    let Ok(subs) = st.plan.split_batch(batch) else {
+        return Message::Outputs(Vec::new());
+    };
+    let run = |r: usize, sub| Message::ShardRun {
+        shard: r as u32,
+        batch: sub,
+    };
+    let requests = subs
+        .into_iter()
+        .enumerate()
+        .map(|(r, sub)| run(r, sub))
+        .collect();
+    let resend = |r: usize| {
+        let mut subs = st.plan.split_batch(batch).ok()?;
+        Some(run(r, subs.swap_remove(r)))
+    };
+    let replies = match fan_ranges(st, corr, requests, resend) {
+        Ok(replies) => replies,
+        Err(node) => return Message::NodeDown { node },
+    };
+    let per_shard: Option<Vec<Vec<Vec<u64>>>> = replies
+        .into_iter()
+        .enumerate()
+        .map(|(r, reply)| match reply {
+            Message::ShardOutputs { shard, outputs } if shard as usize == r => Some(outputs),
+            _ => None,
+        })
+        .collect();
+    let merged = per_shard.and_then(|p| merge_shard_outputs(&p, batch, &st.params, tamper).ok());
+    Message::Outputs(merged.unwrap_or_default())
+}
+
+/// Concatenate every range's store stamps in range (= global row) order.
+/// Each worker reports in global row coordinates already (its
+/// `row_offset` is folded in), matching the in-process
+/// [`ShardedNode`](prism_protocol::shard::ShardedNode) by construction.
+/// Replica stamps may differ (their rebuild histories fold different
+/// `version_base`s), which is safe: a promotion dirties the domain, and
+/// entries cut against the old primary re-probe — they only revive if the
+/// new primary agrees.
+fn probe_versions(st: &DomainState, corr: u64) -> Message {
+    let requests = vec![Message::RangeVersionProbe; st.plan.shard_count()];
+    let stamps =
+        fan_ranges(st, corr, requests, |_| Some(Message::RangeVersionProbe)).and_then(|replies| {
+            let mut stamps = Vec::new();
+            for (r, reply) in replies.into_iter().enumerate() {
+                match reply {
+                    Message::Versions(v) => stamps.extend(v),
+                    _ => return Err(r as u64),
+                }
+            }
+            Ok(stamps)
+        });
+    match stamps {
+        Ok(v) => Message::Versions(v),
+        Err(node) => Message::NodeDown { node },
+    }
+}
+
+/// Run one sharded domain's router loop until `Shutdown`: split uploads
+/// and batches by row range, fan them to the workers holding each range,
+/// merge replies, and hold the domain-level tampering behaviour. The plan
+/// and the worker links are read from `shared` on every message, so the
+/// same loop serves a fixed-membership static domain and a registry-
+/// managed elastic one. A worker-link failure answers the owner with
+/// [`Message::NodeDown`] (crash, not tamper) and keeps the router alive —
+/// the next round after a heal routes over the survivors. Forwards
+/// `Shutdown` to the workers before exiting.
 ///
 /// Wide (max/median) rounds never fan out: they are parameter-only — the
 /// owner-slot permutation `PF` and the wide width are identical on every
@@ -369,82 +607,51 @@ pub(crate) fn route_batch(
 /// mirroring [`ShardedNode`](prism_protocol::shard::ShardedNode)'s
 /// in-process behaviour of answering wide commands at the domain level.
 ///
-/// **Concurrency.** The router's shard links are themselves multiplexed
-/// ([`MuxLink`]): every shard round-trip — a fanned batch, a fanned
-/// version probe, a split upload — is correlated by a **router-local**
-/// id (high bit set, so it can never collide with an owner-minted
-/// `QueryId`), and tagged query rounds are served on spawned route tasks
+/// **Concurrency.** The worker links are multiplexed ([`MuxLink`]): every
+/// worker round-trip is correlated by a **router-local** id (high bit
+/// set, so it can never collide with an owner-minted `QueryId` or a
+/// control-plane id), and query rounds are served on spawned route tasks
 /// so N queries fan out over the same worker links concurrently. Uploads
-/// and tamper control stay inline on the serving thread: the owner
-/// link's receive order is their linearization point. The domain tamper
-/// is snapshotted at dispatch for the same reason.
-fn domain_loop(
-    params: ServerParams,
+/// and tamper control stay inline on the serving thread: the owner link's
+/// receive order is their linearization point, and the domain tamper and
+/// wide node are snapshotted at dispatch for the same reason.
+pub(crate) fn domain_loop(
     owner_link: Box<dyn Link>,
-    shard_links: Vec<Arc<MuxLink>>,
-    announcer: Option<Box<dyn Link>>,
+    shared: Arc<RwLock<DomainState>>,
+    announcer: Option<Arc<dyn Link>>,
 ) -> Result<(), NetError> {
     let owner_link: Arc<dyn Link> = Arc::from(owner_link);
-    let announcer: Option<Arc<dyn Link>> = announcer.map(Arc::from);
-    // Plan, parameter view, and the storage-less wide node all grow on a
-    // delta upload, so they live behind locks; round dispatch snapshots
-    // them (cheap `Arc` clones), keeping the owner link's receive order
-    // as the linearization point between growth and queries.
-    let plan = RwLock::new(ShardPlan::new(params.b, shard_links.len()));
-    let wide_node = RwLock::new(Arc::new(ServerNode::new(params.clone())));
-    let params = RwLock::new(Arc::new(params));
-    let shard_links = Arc::new(shard_links);
-    let tamper = RwLock::new(Tamper::Honest);
+    let mut wide_node = Arc::new(ServerNode::new(shared.read().params.clone()));
+    let mut tamper = Tamper::Honest;
     let corr = AtomicU64::new(1 << 63);
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
+    let ack_or_down = |outcome: Result<(), u64>| match outcome {
+        Ok(()) => Message::Ack,
+        Err(node) => Message::NodeDown { node },
+    };
     loop {
         let (tag, msg) = owner_link.recv()?.untag();
         match msg {
-            Message::Upload {
-                owner,
-                column,
-                data,
-            } => {
-                let plan = plan.read().clone();
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                let mut pendings = Vec::with_capacity(shard_links.len());
-                for (part, link) in plan.split_rows(&data).into_iter().zip(shard_links.iter()) {
-                    pendings.push(link.begin(id)?);
-                    link.send(
-                        id,
-                        Message::Upload {
-                            owner,
-                            column,
-                            data: part.to_vec(),
-                        },
-                    )?;
-                }
-                collect_acks(pendings)?;
-                reply(owner_link.as_ref(), tag, Message::Ack)?;
-            }
             Message::BulkUpload { owner, columns } => {
-                let plan = plan.read().clone();
                 let id = corr.fetch_add(1, Ordering::Relaxed);
-                let mut pendings = Vec::with_capacity(shard_links.len());
-                for (spec, link) in plan.specs().iter().zip(shard_links.iter()) {
-                    let sliced: Vec<(Column, Vec<u64>)> = columns
+                let st = shared.read();
+                // Best-effort split: a short column leaves short ranges,
+                // which surface as shape errors at query time.
+                let parts: Vec<Vec<&[u64]>> =
+                    columns.iter().map(|(_, d)| st.plan.split_rows(d)).collect();
+                let outcome = fan_acked(&st, id, |spec| {
+                    let sliced = columns
                         .iter()
-                        .map(|(c, data)| {
-                            let parts = plan.split_rows(data);
-                            (*c, parts[spec.index].to_vec())
-                        })
+                        .zip(&parts)
+                        .map(|((c, _), p)| (*c, p[spec.index].to_vec()))
                         .collect();
-                    pendings.push(link.begin(id)?);
-                    link.send(
-                        id,
-                        Message::BulkUpload {
-                            owner,
-                            columns: sliced,
-                        },
-                    )?;
-                }
-                collect_acks(pendings)?;
-                reply(owner_link.as_ref(), tag, Message::Ack)?;
+                    Some(Message::BulkUpload {
+                        owner,
+                        columns: sliced,
+                    })
+                });
+                drop(st);
+                reply(owner_link.as_ref(), tag, ack_or_down(outcome))?;
             }
             Message::DeltaUpload {
                 owner,
@@ -454,111 +661,57 @@ fn domain_loop(
                 pf_s2_ext,
             } => {
                 let start = start as usize;
-                let added = columns.first().map(|(_, d)| d.len()).unwrap_or(0);
-                let target = if added == 0 {
-                    None
-                } else {
-                    let mut p = params.write();
-                    let mut plan_w = plan.write();
-                    let grown = if start == p.b {
-                        // Growth: the router holds the domain's real
-                        // finish permutations, so the extension blocks
-                        // concatenate here; the fixed worker set means
-                        // the last shard's range always extends.
-                        match decode_perm_ext(pf_s1_ext, pf_s2_ext) {
-                            Ok(ext) => {
-                                let (e1, e2) = match ext {
-                                    Some(pair) => pair,
-                                    None => {
-                                        (Permutation::identity(added), Permutation::identity(added))
-                                    }
-                                };
-                                if e1.len() == added && e2.len() == added {
-                                    let mut np = ServerParams::clone(&p);
-                                    np.pf_s1 = np.pf_s1.concat(&e1);
-                                    np.pf_s2 = np.pf_s2.concat(&e2);
-                                    np.b += added;
-                                    *plan_w = plan_w.append(added, false);
-                                    *wide_node.write() = Arc::new(ServerNode::new(np.clone()));
-                                    *p = Arc::new(np);
-                                    true
-                                } else {
-                                    false
-                                }
-                            }
-                            Err(()) => false,
-                        }
-                    } else {
-                        // Latest-epoch re-touch: no growth, the range must
-                        // already end at the domain boundary.
-                        start + added == p.b
+                let added = columns.first().map_or(0, |(_, d)| d.len());
+                let id = corr.fetch_add(1, Ordering::Relaxed);
+                // Write lock: growth mutates the plan and parameters every
+                // route task and heal reads.
+                let mut st = shared.write();
+                let outcome = st.online().and_then(|()| {
+                    let b = st.params.b;
+                    let Some(tail) = st.delta_target(start, added, pf_s1_ext, pf_s2_ext) else {
+                        return Ok(());
                     };
-                    grown
-                        .then(|| plan_w.specs().last().copied())
-                        .flatten()
-                        .filter(|spec| spec.start <= start)
-                        .map(|spec| (spec, columns))
-                };
-                if let Some((spec, columns)) = target {
-                    let id = corr.fetch_add(1, Ordering::Relaxed);
-                    let link = &shard_links[spec.index];
-                    let pending = link.begin(id)?;
-                    link.send(
-                        id,
-                        Message::DeltaUpload {
+                    if st.params.b != b {
+                        wide_node = Arc::new(ServerNode::new(st.params.clone()));
+                    }
+                    // Every holder of the tail range applies the delta, in
+                    // its local coordinates; the worker extends by
+                    // identity, since the finish permutations live here.
+                    fan_acked(&st, id, |spec| {
+                        (spec.index == tail.index).then(|| Message::DeltaUpload {
                             owner,
-                            start: (start - spec.start) as u64,
-                            columns,
+                            start: (start - tail.start) as u64,
+                            columns: columns.clone(),
                             pf_s1_ext: Vec::new(),
                             pf_s2_ext: Vec::new(),
-                        },
-                    )?;
-                    collect_acks(vec![pending])?;
-                }
-                reply(owner_link.as_ref(), tag, Message::Ack)?;
+                        })
+                    })
+                });
+                drop(st);
+                reply(owner_link.as_ref(), tag, ack_or_down(outcome))?;
             }
             Message::SetTamper(t) => {
-                *tamper.write() = t;
+                tamper = t;
                 reply(owner_link.as_ref(), tag, Message::Ack)?;
             }
             Message::RunBatch(batch) => {
-                let plan = plan.read().clone();
-                let params = Arc::clone(&params.read());
-                let tamper_now = *tamper.read();
-                let shard_links = Arc::clone(&shard_links);
+                let shared = Arc::clone(&shared);
                 let owner_link = Arc::clone(&owner_link);
                 let id = corr.fetch_add(1, Ordering::Relaxed);
                 workers.push(std::thread::spawn(move || {
-                    let outs = route_batch(&plan, &params, &tamper_now, &batch, &shard_links, id)
-                        .unwrap_or_default();
-                    let _ = reply(owner_link.as_ref(), tag, Message::Outputs(outs));
+                    // Hold the read side for the whole fan-out: the heal
+                    // barrier.
+                    let msg = fan_batch(&shared.read(), &tamper, &batch, id);
+                    let _ = reply(owner_link.as_ref(), tag, msg);
                 }));
             }
             Message::RangeVersionProbe => {
-                // Concatenate the workers' range stamps in shard order —
-                // each worker reports in global row coordinates already
-                // (its `row_offset` is folded in), matching the
-                // in-process `ShardedNode` by construction.
-                let shard_links = Arc::clone(&shard_links);
+                let shared = Arc::clone(&shared);
                 let owner_link = Arc::clone(&owner_link);
                 let id = corr.fetch_add(1, Ordering::Relaxed);
                 workers.push(std::thread::spawn(move || {
-                    let probe = || -> Result<(), NetError> {
-                        let mut pendings = Vec::with_capacity(shard_links.len());
-                        for link in shard_links.iter() {
-                            pendings.push(link.begin(id)?);
-                            link.send(id, Message::RangeVersionProbe)?;
-                        }
-                        let mut stamps = Vec::new();
-                        for pending in pendings {
-                            match pending.recv()? {
-                                Message::Versions(v) => stamps.extend(v),
-                                _ => return Err(NetError::Disconnected),
-                            }
-                        }
-                        reply(owner_link.as_ref(), tag, Message::Versions(stamps))
-                    };
-                    let _ = probe();
+                    let msg = probe_versions(&shared.read(), id);
+                    let _ = reply(owner_link.as_ref(), tag, msg);
                 }));
             }
             Message::MaxCombine {
@@ -566,7 +719,7 @@ fn domain_loop(
                 threads,
                 seq,
             } => {
-                let wide_node = Arc::clone(&wide_node.read());
+                let wide_node = Arc::clone(&wide_node);
                 let owner_link = Arc::clone(&owner_link);
                 let ann = announcer.clone();
                 workers.push(std::thread::spawn(move || {
@@ -581,7 +734,7 @@ fn domain_loop(
                 }));
             }
             Message::AssembleFpos { claims, threads } => {
-                let wide_node = Arc::clone(&wide_node.read());
+                let wide_node = Arc::clone(&wide_node);
                 let owner_link = Arc::clone(&owner_link);
                 let ann = announcer.clone();
                 workers.push(std::thread::spawn(move || {
@@ -596,18 +749,159 @@ fn domain_loop(
                 }));
             }
             Message::Shutdown => {
-                // Route tasks still in flight need their shard replies;
+                // Route tasks still in flight need their workers' replies;
                 // join them before telling the workers to exit.
                 for w in workers.drain(..) {
                     let _ = w.join();
                 }
-                for link in shard_links.iter() {
-                    link.send_raw(&Message::Shutdown)?;
+                for w in shared.read().workers.iter() {
+                    let _ = w.link.send_raw(&Message::Shutdown);
                 }
                 return Ok(());
             }
             _ => {
                 // Reply-direction messages; ignore defensively.
+            }
+        }
+        workers.retain(|h| !h.is_finished());
+    }
+}
+
+/// The shard-worker loop: an engine [`ServerNode`] over the assigned row
+/// range of a domain, answering its router's stores, version probes and
+/// shard-tagged [`Message::ShardRun`] rounds (echoing the shard index so
+/// the router can detect crossed links), plus the control plane's `Ping`
+/// and `Assign`. A static deployment's worker is simply never pinged or
+/// re-assigned. Wide rounds are answered at the router, never here.
+///
+/// `version_base` makes the domain's store version strictly increase
+/// across re-assignments: each `Assign` folds the old node's version
+/// (plus one) into the base before rebuilding, and probes answer
+/// `base + node.version()` — so a heal can never leave a domain's
+/// summed version where it was, and every stale cache entry dies.
+///
+/// Concurrency follows `server_loop`: rounds compute on spawned threads
+/// under the node's read lock, stores and assignments take the write lock
+/// inline.
+pub(crate) fn worker_loop(
+    domain_params: ServerParams,
+    link: Arc<dyn Link>,
+    spec0: ShardSpec,
+    generation0: u64,
+    tamper0: Tamper,
+) -> Result<(), NetError> {
+    let fresh_node = |spec: &ShardSpec| {
+        let mut n = ServerNode::new(shard_server_params(&domain_params, spec));
+        // A worker born tampered (chaos testing) stays tampered across
+        // rebuilds; honest workers get the identity.
+        n.set_tamper(tamper0);
+        n
+    };
+    let node = Arc::new(RwLock::new(fresh_node(&spec0)));
+    let mut cur_spec = spec0;
+    let mut cur_gen = generation0;
+    let mut version_base = 0u64;
+    let mut workers: Vec<JoinHandle<()>> = Vec::new();
+    loop {
+        let (tag, msg) = link.recv()?.untag();
+        match msg {
+            Message::BulkUpload { owner, columns } => {
+                let mut node = node.write();
+                for (column, data) in columns {
+                    node.store(owner as usize, column, data);
+                }
+                drop(node);
+                reply(link.as_ref(), tag, Message::Ack)?;
+            }
+            Message::DeltaUpload {
+                owner,
+                start,
+                columns,
+                ..
+            } => {
+                // Local (shard) coordinates; the finish permutations live
+                // at the router, so the shard node extends by identity
+                // (the wire extensions are ignored here). Best-effort: a
+                // malformed delta is simply not applied — verification
+                // catches the divergence.
+                let start = start as usize;
+                let added = columns.first().map_or(0, |(_, d)| d.len());
+                let grew = start == cur_spec.len && added > 0;
+                let applied = node
+                    .write()
+                    .delta_upload(owner as usize, start, columns, None)
+                    .is_ok();
+                if applied && grew {
+                    cur_spec.len += added;
+                }
+                reply(link.as_ref(), tag, Message::Ack)?;
+            }
+            Message::RangeVersionProbe => {
+                // Fold the re-assignment base into every stamp: a healed
+                // (rebuilt + replayed) node must never report the same
+                // per-range versions as its predecessor, or a stale cache
+                // entry could validate across the heal.
+                let v: Vec<(u64, u64, u64)> = node
+                    .read()
+                    .range_versions()
+                    .into_iter()
+                    .map(|(s, l, ver)| (s, l, ver + version_base))
+                    .collect();
+                reply(link.as_ref(), tag, Message::Versions(v))?;
+            }
+            Message::Ping { seq } => {
+                reply(
+                    link.as_ref(),
+                    tag,
+                    Message::Pong {
+                        seq,
+                        generation: cur_gen,
+                    },
+                )?;
+            }
+            Message::Assign {
+                generation: gen,
+                start,
+                len,
+            } => {
+                let spec = ShardSpec {
+                    index: 0,
+                    start: start as usize,
+                    len: len as usize,
+                };
+                // An assignment to the range already held is a pure
+                // generation bump (the replay that follows overwrites
+                // the same slices); only a *moved* range rebuilds the
+                // node. Rebuilding on a no-op re-assign would wipe the
+                // store with nothing scheduled to restore it.
+                if spec.start != cur_spec.start || spec.len != cur_spec.len {
+                    // The write lock drains in-flight query readers
+                    // before the rebuild — no round computes across it.
+                    let mut node = node.write();
+                    version_base += node.version() + 1;
+                    *node = fresh_node(&spec);
+                    cur_spec = spec;
+                }
+                cur_gen = gen;
+                reply(link.as_ref(), tag, Message::Ack)?;
+            }
+            Message::ShardRun { shard, batch } => {
+                let node = Arc::clone(&node);
+                let link = Arc::clone(&link);
+                workers.push(std::thread::spawn(move || {
+                    let outputs = run_batch_on(&node.read(), batch);
+                    let _ = reply(link.as_ref(), tag, Message::ShardOutputs { shard, outputs });
+                }));
+            }
+            Message::Shutdown => {
+                for w in workers.drain(..) {
+                    let _ = w.join();
+                }
+                return Ok(());
+            }
+            _ => {
+                // Wide rounds are answered at the domain router, never
+                // at a worker; ignore stray traffic defensively.
             }
         }
         workers.retain(|h| !h.is_finished());
@@ -1144,7 +1438,8 @@ impl NetCluster {
 
     /// Shared topology builder: per server domain, one owner↔router link
     /// plus `shards` router↔worker links from `mk_pair`, a router thread
-    /// running [`domain_loop`] and one [`server_loop`] worker per shard.
+    /// running [`domain_loop`] over a fixed-membership [`DomainState`]
+    /// and one [`worker_loop`] per shard.
     /// An unsharded domain (`shards == 1`) skips the router entirely —
     /// the worker node (holding the full domain parameters) sits directly
     /// behind the owner link, exactly the pre-sharding topology, with no
@@ -1181,13 +1476,15 @@ impl NetCluster {
 
         for k in 0..SHAMIR_SERVERS {
             let params = setup.servers[k].clone();
-            let plan = ShardPlan::new(params.b, shards);
-            actual_shards = plan.shard_count();
+            // Fixed membership: one worker per range, generation 0, no
+            // prober — the registry's elastic domains run the same router.
+            let mut domain = DomainState::new(params.clone(), shards, 1);
+            actual_shards = domain.plan.shard_count();
             let (owner_end, server_end) = mk_pair()?;
             server_stats.push(server_end.stats());
             let ann_link = server_ann_ends.get_mut(k).and_then(Option::take);
 
-            if plan.shard_count() == 1 {
+            if actual_shards == 1 {
                 handles.push(std::thread::spawn(move || {
                     server_loop(params, server_end, ann_link)
                 }));
@@ -1197,23 +1494,28 @@ impl NetCluster {
                 continue;
             }
 
-            let mut router_shard_links: Vec<Arc<MuxLink>> = Vec::new();
             let mut to_stats = Vec::new();
             let mut from_stats = Vec::new();
-            for spec in plan.specs() {
+            for spec in domain.plan.specs().to_vec() {
                 let (router_side, worker_side) = mk_pair()?;
                 to_stats.push(router_side.stats());
                 from_stats.push(worker_side.stats());
-                let wp = shard_server_params(&params, spec);
+                let wp = params.clone();
                 handles.push(std::thread::spawn(move || {
-                    server_loop(wp, worker_side, None)
+                    worker_loop(wp, Arc::from(worker_side), spec, 0, Tamper::Honest)
                 }));
-                router_shard_links.push(MuxLink::new(Arc::from(router_side)));
+                let label = format!("d{k}/s{}", spec.index);
+                let link = MuxLink::new_labeled(Arc::from(router_side), label.clone());
+                domain
+                    .workers
+                    .push(WorkerSlot::new(spec.index as u64, label, link, spec.index));
             }
             to_shard_stats.push(to_stats);
             from_shard_stats.push(from_stats);
+            let domain = Arc::new(RwLock::new(domain));
+            let ann_link = ann_link.map(Arc::from);
             handles.push(std::thread::spawn(move || {
-                domain_loop(params, server_end, router_shard_links, ann_link)
+                domain_loop(server_end, domain, ann_link)
             }));
             links.push(MuxLink::new(Arc::from(owner_end)));
         }
@@ -1328,7 +1630,8 @@ impl NetCluster {
         &self.setup
     }
 
-    /// Upload one owner's column to one server.
+    /// Upload one owner's column to one server: a one-column
+    /// [`NetCluster::bulk_upload`].
     pub fn upload(
         &self,
         server: usize,
@@ -1336,27 +1639,7 @@ impl NetCluster {
         column: Column,
         data: Vec<u64>,
     ) -> Result<(), NetError> {
-        // Dirty the cache before awaiting the ack: the server may apply
-        // the store even when the reply is lost, and note_upload's
-        // contract is "was (or may have been) written".
-        if let Some(cache) = &self.cache {
-            cache.note_upload(server);
-        }
-        // The registry replays recorded uploads when it re-fans a healed
-        // domain; record before sending so a crash mid-upload can only
-        // replay too much (stores are overwrite-idempotent), never too
-        // little.
-        if let Some(registry) = &self.registry {
-            registry.record_upload(server, owner, &[(column, data.clone())]);
-        }
-        self.acked(
-            &self.links[server],
-            Message::Upload {
-                owner: owner as u32,
-                column,
-                data,
-            },
-        )
+        self.bulk_upload(server, owner, vec![(column, data)])
     }
 
     /// Upload every column of one owner's per-server table in a single
@@ -1368,12 +1651,16 @@ impl NetCluster {
         owner: usize,
         columns: Vec<(Column, Vec<u64>)>,
     ) -> Result<(), NetError> {
-        // As in `upload`: mark the server dirty before awaiting the ack,
-        // so a lost reply can never leave the cache trusting a store the
-        // server may already have mutated.
+        // Dirty the cache before awaiting the ack: the server may apply
+        // the store even when the reply is lost, and note_upload's
+        // contract is "was (or may have been) written".
         if let Some(cache) = &self.cache {
             cache.note_upload(server);
         }
+        // The registry replays recorded uploads when it re-fans a healed
+        // domain; record before sending so a crash mid-upload can only
+        // replay too much (stores are overwrite-idempotent), never too
+        // little.
         if let Some(registry) = &self.registry {
             registry.record_upload(server, owner, &columns);
         }
@@ -1406,7 +1693,7 @@ impl NetCluster {
         start: usize,
         columns: Vec<(Column, Vec<u64>)>,
     ) -> Result<(), NetError> {
-        // Same ordering discipline as `upload`: dirty the cache and
+        // Same ordering discipline as `bulk_upload`: dirty the cache and
         // record the delta in the registry before awaiting the ack.
         if let Some(cache) = &self.cache {
             cache.note_upload(server);

@@ -2,8 +2,11 @@
 //! self-healing shard failover.
 //!
 //! The statically wired [`NetCluster`] constructors need every shard
-//! worker alive at build time and treat a dead worker as a permanent
-//! query failure. This module turns that topology **elastic**:
+//! worker alive at build time and never change a domain's membership.
+//! This module turns that topology **elastic**. It is only the control
+//! plane: the domain router and the shard-worker loop are the ones
+//! static domains run (in [`crate::cluster`]); here the registry owns
+//! each domain's routing state and keeps re-planning it.
 //!
 //! * **Remote attach.** [`ClusterListener`] accepts TCP connections that
 //!   open with a [`Message::Register`] naming their role
@@ -12,8 +15,8 @@
 //!   edge plus one upload edge per additive server
 //!   ([`AnnouncerNode::connect`]). [`ClusterListener::start`] blocks
 //!   until the topology is complete, then builds an ordinary
-//!   [`NetCluster`] whose domain routers read their shard fan-out from
-//!   the registry instead of a fixed link list. Workers may keep
+//!   [`NetCluster`] whose domain routers read their plan and worker
+//!   links from the registry's per-domain state. Workers may keep
 //!   attaching afterwards — an under-strength domain (post-failover)
 //!   absorbs them with a re-plan.
 //! * **Health.** A [`NodeRegistry`] prober thread sends
@@ -63,17 +66,17 @@
 //! to a transient) and re-sends its assignment — the keep-alive loop
 //! doubles as the assignment anti-entropy loop.
 
-use crate::cluster::{announcer_loop, reply, run_batch_on, run_wide, NetCluster};
-use crate::mux::{Admission, MuxLink, Pending};
+use crate::cluster::{
+    announcer_loop, domain_loop, worker_loop, DomainState, NetCluster, WorkerSlot,
+};
+use crate::mux::{Admission, MuxLink};
 use crate::transport::{channel_pair, Link, LinkStats, NetError, TcpLink};
 use crate::wire::{Column, Message, NodeRole};
 use parking_lot::{Mutex, RwLock};
-use prism_core::Permutation;
 use prism_protocol::cache::PsiRoundCache;
-use prism_protocol::engine::{BatchQuery, ServerCmd, ServerNode};
 use prism_protocol::malicious::Tamper;
 use prism_protocol::params::{AnnouncerParams, ServerParams, Setup, ADDITIVE_SERVERS};
-use prism_protocol::shard::{merge_shard_outputs, shard_server_params, ShardPlan, ShardSpec};
+use prism_protocol::shard::{ShardPlan, ShardSpec};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -175,72 +178,6 @@ impl std::fmt::Display for NodeHealth {
             "{} (node {}): {} gen={} last_seen={:?} ago",
             self.label, self.node, self.liveness, self.generation, self.last_seen
         )
-    }
-}
-
-/// One attached shard worker, as the registry tracks it.
-struct WorkerSlot {
-    node: u64,
-    label: String,
-    link: Arc<MuxLink>,
-    last_seen: Instant,
-    misses: u32,
-    liveness: Liveness,
-    /// Generation of the assignment this worker last acked.
-    generation: u64,
-    /// Index into the domain plan's specs of the row range this worker
-    /// holds. Several workers share a range under replication; holder
-    /// order within [`DomainState::workers`] breaks the tie — the first
-    /// holder of a range is its primary.
-    range: usize,
-}
-
-/// Mutable per-domain control state, shared between the elastic router
-/// (reader), the attach dispatcher, and the prober (writers). The lock
-/// is the heal barrier: a route task holds `read` for its whole
-/// fan-out, a heal holds `write` across assign + replay, so every query
-/// runs entirely before or entirely after a heal — never against a
-/// half-replayed store.
-struct DomainState {
-    params: ServerParams,
-    /// Configured worker ceiling (`ranges × rf`); attaches beyond it
-    /// are rejected.
-    target: usize,
-    /// Replication factor each row range is stored at (when enough
-    /// workers are attached).
-    rf: usize,
-    generation: u64,
-    plan: ShardPlan,
-    workers: Vec<WorkerSlot>,
-}
-
-impl DomainState {
-    /// Worker indices holding plan range `r`, in attach order — the
-    /// first is the range's primary.
-    fn holders_of(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(move |(_, w)| w.range == r)
-            .map(|(i, _)| i)
-    }
-
-    /// True iff every range of the current plan still has at least one
-    /// holder — the promotion precondition: no row range was lost.
-    fn covered(&self) -> bool {
-        (0..self.plan.shard_count()).all(|r| self.holders_of(r).next().is_some())
-    }
-
-    /// Per-range holder *links*, primary first — the fan-out a route
-    /// task snapshots under the read lock.
-    fn holder_links(&self) -> Vec<Vec<Arc<MuxLink>>> {
-        (0..self.plan.shard_count())
-            .map(|r| {
-                self.holders_of(r)
-                    .map(|i| Arc::clone(&self.workers[i].link))
-                    .collect()
-            })
-            .collect()
     }
 }
 
@@ -575,18 +512,7 @@ impl ClusterListener {
         let domains = setup
             .servers
             .iter()
-            .map(|params| {
-                let b = params.b;
-                let ranges = shards.clamp(1, b.max(1));
-                Arc::new(RwLock::new(DomainState {
-                    params: params.clone(),
-                    target: ranges * rf,
-                    rf,
-                    generation: 0,
-                    plan: ShardPlan::new(b, ranges),
-                    workers: Vec::new(),
-                }))
-            })
+            .map(|params| Arc::new(RwLock::new(DomainState::new(params.clone(), shards, rf))))
             .collect();
         let inner = Arc::new(RegistryInner {
             cfg,
@@ -677,7 +603,6 @@ impl ClusterListener {
             server_to_announcer_stats.push(Link::stats(end.as_ref()));
         }
         for (k, shared) in self.inner.domains.iter().enumerate() {
-            let params = shared.read().params.clone();
             let (owner_end, server_end) = channel_pair();
             server_stats.push(Link::stats(&server_end));
             let shared = Arc::clone(shared);
@@ -687,7 +612,7 @@ impl ClusterListener {
                 None
             };
             handles.push(std::thread::spawn(move || {
-                elastic_domain_loop(params, Box::new(server_end), shared, announcer)
+                domain_loop(Box::new(server_end), shared, announcer)
             }));
             links.push(MuxLink::new(Arc::new(owner_end) as Arc<dyn Link>));
         }
@@ -827,18 +752,10 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream) {
                     // Lost the race to a concurrent attach.
                     return;
                 }
-                st.workers.push(WorkerSlot {
-                    node,
-                    label: label.clone(),
-                    link: mux,
-                    last_seen: Instant::now(),
-                    misses: 0,
-                    liveness: Liveness::Alive,
-                    generation: 0,
-                    // Provisional; the re-fan below computes the real
-                    // round-robin range before any query can route here.
-                    range: 0,
-                });
+                // Provisional range 0; the re-fan below computes the real
+                // round-robin range before any query can route here.
+                st.workers
+                    .push(WorkerSlot::new(node, label.clone(), mux, 0));
             }
             let survivors = refan(inner, d);
             inner.heal_log.lock().push(format!(
@@ -1314,436 +1231,6 @@ fn probe_announcer(inner: &Arc<RegistryInner>) {
 }
 
 // ---------------------------------------------------------------------
-// Elastic domain router
-// ---------------------------------------------------------------------
-
-/// Fan an acked control message (upload slices) to **every holder** of
-/// every range, each sliced for the range it holds. The fan is tolerant
-/// per range: a holder whose link fails mid-upload is survivable as
-/// long as *some* holder of that range acked — link death is sticky, so
-/// the lagging holder can never serve a query again and the prober will
-/// reap it. `Err(shard)` (reported as [`Message::NodeDown`]) means some
-/// range got no ack at all.
-fn fan_acked(st: &DomainState, corr: u64, mk: impl Fn(&ShardSpec) -> Message) -> Result<(), u64> {
-    let mut pendings = Vec::with_capacity(st.workers.len());
-    let mut failed: Option<u64> = None;
-    for (i, slot) in st.workers.iter().enumerate() {
-        let spec = st.plan.specs()[slot.range];
-        let sent = slot
-            .link
-            .begin(corr)
-            .and_then(|p| slot.link.send(corr, mk(&spec)).map(|()| p));
-        match sent {
-            Ok(p) => pendings.push((i, p)),
-            Err(_) => failed = Some(i as u64),
-        }
-    }
-    let mut acked = vec![0usize; st.plan.shard_count()];
-    for (i, p) in pendings {
-        match p.recv() {
-            Ok(Message::Ack) => acked[st.workers[i].range] += 1,
-            _ => failed = Some(i as u64),
-        }
-    }
-    if acked.iter().all(|&n| n > 0) {
-        Ok(())
-    } else {
-        Err(failed.unwrap_or(u64::MAX))
-    }
-}
-
-/// Outcome of a replicated route: a link-level loss of every holder of
-/// one range (`Down`, reported as [`Message::NodeDown`] — crash, not
-/// tamper), or a reply that arrived but was malformed (`Malformed`,
-/// reported as an empty output list — tamper-shaped, **never** retried
-/// on a replica: a standby must not be able to mask what verification
-/// would catch).
-enum RouteFail {
-    Down(u64),
-    Malformed,
-}
-
-/// Fan one batched round over the replicated holder sets: each range's
-/// sub-batch ships to its primary (first holder) concurrently; a
-/// *link-level* failure — begin/send refused or the pump dead — retries
-/// the next replica of that range in holder order. A well-formed reply
-/// is final, right or wrong.
-fn route_batch_replicated(
-    plan: &ShardPlan,
-    params: &ServerParams,
-    tamper: &Tamper,
-    batch: &BatchQuery,
-    holders: &[Vec<Arc<MuxLink>>],
-    corr: u64,
-) -> Result<Vec<Vec<u64>>, RouteFail> {
-    let subs = plan.split_batch(batch).map_err(|_| RouteFail::Malformed)?;
-    let ship = |r: usize, h: usize| -> Option<Pending> {
-        let link = holders[r].get(h)?;
-        let p = link.begin(corr).ok()?;
-        link.send(
-            corr,
-            Message::ShardRun {
-                shard: r as u32,
-                batch: subs[r].clone(),
-            },
-        )
-        .ok()?;
-        Some(p)
-    };
-    // Primary fan-out first — the failure-free fast path keeps every
-    // range's round-trip concurrent.
-    let firsts: Vec<Option<Pending>> = (0..subs.len()).map(|r| ship(r, 0)).collect();
-    let mut per_shard = Vec::with_capacity(subs.len());
-    for (r, first) in firsts.into_iter().enumerate() {
-        let mut outcome = Err(RouteFail::Down(r as u64));
-        let mut pending = first;
-        let mut next_holder = 1;
-        loop {
-            if let Some(p) = pending {
-                match p.recv() {
-                    Ok(Message::ShardOutputs { shard, outputs }) if shard as usize == r => {
-                        outcome = Ok(outputs);
-                        break;
-                    }
-                    // Crossed or malformed reply from a live holder:
-                    // final, tamper-shaped.
-                    Ok(_) => {
-                        outcome = Err(RouteFail::Malformed);
-                        break;
-                    }
-                    // Link died mid-round: fall through to the next
-                    // replica of this range.
-                    Err(_) => {}
-                }
-            }
-            if next_holder >= holders[r].len() {
-                break; // every holder of this range is down
-            }
-            pending = ship(r, next_holder);
-            next_holder += 1;
-        }
-        per_shard.push(outcome?);
-    }
-    merge_shard_outputs(&per_shard, batch, params, tamper).map_err(|_| RouteFail::Malformed)
-}
-
-/// One request/reply round-trip against the first live holder of a
-/// range: holders are tried in primary order, moving on only on a
-/// link-level failure. `None` means every holder is down.
-fn ask_range(holders: &[Arc<MuxLink>], corr: u64, msg: &Message) -> Option<Message> {
-    for link in holders {
-        let attempt = || -> Result<Message, NetError> {
-            let p = link.begin(corr)?;
-            link.send(corr, msg.clone())?;
-            p.recv()
-        };
-        if let Ok(reply) = attempt() {
-            return Some(reply);
-        }
-    }
-    None
-}
-
-/// The registry-backed sibling of `domain_loop`: one server domain's
-/// router, reading its shard fan-out (plan + worker links) from the
-/// registry's [`DomainState`] on every message instead of a fixed list.
-/// A worker-link failure answers the owner with [`Message::NodeDown`]
-/// (crash, not tamper) and keeps the router alive — the next round
-/// after a heal routes over the survivors.
-fn elastic_domain_loop(
-    params: ServerParams,
-    owner_link: Box<dyn Link>,
-    shared: Arc<RwLock<DomainState>>,
-    announcer: Option<Arc<dyn Link>>,
-) -> Result<(), NetError> {
-    let owner_link: Arc<dyn Link> = Arc::from(owner_link);
-    // The wide node tracks the domain's (growable) parameters; routing
-    // state (plan + params) lives in the registry's DomainState, so this
-    // loop reads it fresh on every message rather than capturing it.
-    let wide_node = RwLock::new(Arc::new(ServerNode::new(params.clone())));
-    let tamper = Arc::new(RwLock::new(Tamper::Honest));
-    let corr = AtomicU64::new(1 << 63);
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    // A domain with zero surviving workers is *offline*, not empty: every
-    // data-path message answers NodeDown with this sentinel until a
-    // replacement worker attaches and the registry re-fans.
-    const NO_WORKERS: u64 = u64::MAX;
-    loop {
-        let (tag, msg) = owner_link.recv()?.untag();
-        match msg {
-            Message::Upload {
-                owner,
-                column,
-                data,
-            } => {
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                let st = shared.read();
-                let outcome = if st.workers.is_empty() {
-                    Err(NO_WORKERS)
-                } else {
-                    fan_acked(&st, id, |spec| Message::Upload {
-                        owner,
-                        column,
-                        data: data[spec.start..spec.start + spec.len].to_vec(),
-                    })
-                };
-                drop(st);
-                match outcome {
-                    Ok(()) => reply(owner_link.as_ref(), tag, Message::Ack)?,
-                    Err(node) => reply(owner_link.as_ref(), tag, Message::NodeDown { node })?,
-                }
-            }
-            Message::BulkUpload { owner, columns } => {
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                let st = shared.read();
-                let outcome = if st.workers.is_empty() {
-                    Err(NO_WORKERS)
-                } else {
-                    fan_acked(&st, id, |spec| {
-                        let sliced: Vec<(Column, Vec<u64>)> = columns
-                            .iter()
-                            .map(|(c, data)| (*c, data[spec.start..spec.start + spec.len].to_vec()))
-                            .collect();
-                        Message::BulkUpload {
-                            owner,
-                            columns: sliced,
-                        }
-                    })
-                };
-                drop(st);
-                match outcome {
-                    Ok(()) => reply(owner_link.as_ref(), tag, Message::Ack)?,
-                    Err(node) => reply(owner_link.as_ref(), tag, Message::NodeDown { node })?,
-                }
-            }
-            Message::DeltaUpload {
-                owner,
-                start,
-                columns,
-                pf_s1_ext,
-                pf_s2_ext,
-            } => {
-                let start = start as usize;
-                let added = columns.first().map(|(_, d)| d.len()).unwrap_or(0);
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                // Write lock: growth mutates the shared plan/params the
-                // heal and every route read.
-                let mut st = shared.write();
-                let outcome: Result<(), u64> = if st.workers.is_empty() {
-                    Err(NO_WORKERS)
-                } else if added == 0 {
-                    Ok(())
-                } else {
-                    let valid = if start == st.params.b {
-                        match crate::cluster::decode_perm_ext(pf_s1_ext, pf_s2_ext) {
-                            Ok(ext) => {
-                                let (e1, e2) = ext.unwrap_or_else(|| {
-                                    (Permutation::identity(added), Permutation::identity(added))
-                                });
-                                if e1.len() == added && e2.len() == added {
-                                    st.params.pf_s1 = st.params.pf_s1.concat(&e1);
-                                    st.params.pf_s2 = st.params.pf_s2.concat(&e2);
-                                    st.params.b += added;
-                                    st.plan = st.plan.append(added, false);
-                                    *wide_node.write() =
-                                        Arc::new(ServerNode::new(st.params.clone()));
-                                    true
-                                } else {
-                                    false
-                                }
-                            }
-                            Err(()) => false,
-                        }
-                    } else {
-                        start + added == st.params.b
-                    };
-                    match valid
-                        .then(|| st.plan.specs().last().copied())
-                        .flatten()
-                        .filter(|spec| spec.start <= start)
-                    {
-                        // Malformed delta: ack without applying —
-                        // verification catches the divergence, exactly as
-                        // for a tampering server.
-                        None => Ok(()),
-                        Some(spec) => {
-                            // Every holder of the tail range applies the
-                            // delta; like the bulk fan, one surviving ack
-                            // suffices (a holder whose link failed is
-                            // sticky-dead and will be reaped, never
-                            // promoted into serving stale rows).
-                            let mut acked = 0usize;
-                            let mut failed = u64::MAX;
-                            for i in st.holders_of(spec.index).collect::<Vec<_>>() {
-                                let slot = &st.workers[i];
-                                let fwd = || -> Result<(), NetError> {
-                                    let p = slot.link.begin(id)?;
-                                    slot.link.send(
-                                        id,
-                                        Message::DeltaUpload {
-                                            owner,
-                                            start: (start - spec.start) as u64,
-                                            columns: columns.clone(),
-                                            pf_s1_ext: Vec::new(),
-                                            pf_s2_ext: Vec::new(),
-                                        },
-                                    )?;
-                                    match p.recv()? {
-                                        Message::Ack => Ok(()),
-                                        _ => Err(NetError::Disconnected),
-                                    }
-                                };
-                                match fwd() {
-                                    Ok(()) => acked += 1,
-                                    Err(_) => failed = i as u64,
-                                }
-                            }
-                            if acked > 0 {
-                                Ok(())
-                            } else {
-                                Err(failed)
-                            }
-                        }
-                    }
-                };
-                drop(st);
-                match outcome {
-                    Ok(()) => reply(owner_link.as_ref(), tag, Message::Ack)?,
-                    Err(node) => reply(owner_link.as_ref(), tag, Message::NodeDown { node })?,
-                }
-            }
-            Message::SetTamper(t) => {
-                *tamper.write() = t;
-                reply(owner_link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::RunBatch(batch) => {
-                let shared = Arc::clone(&shared);
-                let tamper = Arc::clone(&tamper);
-                let owner_link = Arc::clone(&owner_link);
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                workers.push(std::thread::spawn(move || {
-                    // Hold the read side for the whole fan-out: the heal
-                    // barrier. A heal (write) waits for this round; this
-                    // round can never see a half-replayed store.
-                    let st = shared.read();
-                    let holders = st.holder_links();
-                    let tamper_now = *tamper.read();
-                    let msg = if st.workers.is_empty() {
-                        Message::NodeDown { node: NO_WORKERS }
-                    } else {
-                        match route_batch_replicated(
-                            &st.plan,
-                            &st.params,
-                            &tamper_now,
-                            &batch,
-                            &holders,
-                            id,
-                        ) {
-                            Ok(outs) => Message::Outputs(outs),
-                            // Crash: every holder of some range is gone.
-                            Err(RouteFail::Down(node)) => Message::NodeDown { node },
-                            // Malformed-but-alive shard: shaped like
-                            // tamper, reported like tamper.
-                            Err(RouteFail::Malformed) => Message::Outputs(Vec::new()),
-                        }
-                    };
-                    drop(st);
-                    let _ = reply(owner_link.as_ref(), tag, msg);
-                }));
-            }
-            Message::RangeVersionProbe => {
-                let shared = Arc::clone(&shared);
-                let owner_link = Arc::clone(&owner_link);
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                workers.push(std::thread::spawn(move || {
-                    let st = shared.read();
-                    // Stamps come from each range's primary (replica
-                    // fallback on link failure only); range order is
-                    // global row order, exactly as with one holder per
-                    // range. Replica stamps may differ (their rebuild
-                    // histories fold different `version_base`s), which is
-                    // safe: a promotion dirties the domain and entries
-                    // cut against the old primary re-probe — they only
-                    // revive if the new primary agrees.
-                    let probe = || -> Result<Vec<(u64, u64, u64)>, u64> {
-                        if st.workers.is_empty() {
-                            return Err(NO_WORKERS);
-                        }
-                        let holders = st.holder_links();
-                        let mut stamps = Vec::new();
-                        for (r, hs) in holders.iter().enumerate() {
-                            match ask_range(hs, id, &Message::RangeVersionProbe) {
-                                Some(Message::Versions(v)) => stamps.extend(v),
-                                _ => return Err(r as u64),
-                            }
-                        }
-                        Ok(stamps)
-                    };
-                    let msg = match probe() {
-                        Ok(v) => Message::Versions(v),
-                        Err(node) => Message::NodeDown { node },
-                    };
-                    drop(st);
-                    let _ = reply(owner_link.as_ref(), tag, msg);
-                }));
-            }
-            Message::MaxCombine {
-                uploads,
-                threads,
-                seq,
-            } => {
-                let wide_node = Arc::clone(&wide_node.read());
-                let owner_link = Arc::clone(&owner_link);
-                let ann = announcer.clone();
-                workers.push(std::thread::spawn(move || {
-                    let _ = run_wide(
-                        &wide_node,
-                        ServerCmd::MaxCombine { uploads, threads },
-                        seq,
-                        tag,
-                        owner_link.as_ref(),
-                        ann.as_deref(),
-                    );
-                }));
-            }
-            Message::AssembleFpos { claims, threads } => {
-                let wide_node = Arc::clone(&wide_node.read());
-                let owner_link = Arc::clone(&owner_link);
-                let ann = announcer.clone();
-                workers.push(std::thread::spawn(move || {
-                    let _ = run_wide(
-                        &wide_node,
-                        ServerCmd::AssembleFpos { claims, threads },
-                        0,
-                        tag,
-                        owner_link.as_ref(),
-                        ann.as_deref(),
-                    );
-                }));
-            }
-            Message::Ping { seq } => {
-                let generation = shared.read().generation;
-                reply(owner_link.as_ref(), tag, Message::Pong { seq, generation })?;
-            }
-            Message::Shutdown => {
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-                let st = shared.read();
-                for w in st.workers.iter() {
-                    let _ = w.link.send_raw(&Message::Shutdown);
-                }
-                return Ok(());
-            }
-            _ => {
-                // Reply-direction messages; ignore defensively.
-            }
-        }
-        workers.retain(|h| !h.is_finished());
-    }
-}
-
-// ---------------------------------------------------------------------
 // Remote nodes: shard worker + announcer
 // ---------------------------------------------------------------------
 
@@ -1764,7 +1251,7 @@ impl ShardWorker {
     /// a background thread. `params` is the **full domain's**
     /// [`ServerParams`] — the initiator provisions whole-domain views
     /// and the worker derives its shard view locally on every
-    /// assignment ([`shard_server_params`]).
+    /// assignment ([`shard_server_params`](prism_protocol::shard::shard_server_params)).
     pub fn connect(
         params: ServerParams,
         domain: usize,
@@ -1856,162 +1343,6 @@ impl ShardWorker {
             Some(h) => h.join().map_err(|_| NetError::Disconnected)?,
             None => Ok(()),
         }
-    }
-}
-
-/// The worker-side serving loop: an engine [`ServerNode`] over the
-/// assigned row range, answering the same wire commands as the
-/// statically wired `server_loop` plus the control plane's `Ping` and
-/// `Assign`.
-///
-/// `version_base` makes the domain's store version strictly increase
-/// across re-assignments: each `Assign` folds the old node's version
-/// (plus one) into the base before rebuilding, and probes answer
-/// `base + node.version()` — so a heal can never leave a domain's
-/// summed version where it was, and every stale cache entry dies.
-fn worker_loop(
-    domain_params: ServerParams,
-    link: Arc<TcpLink>,
-    spec0: ShardSpec,
-    generation0: u64,
-    tamper0: Tamper,
-) -> Result<(), NetError> {
-    let link: Arc<dyn Link> = link;
-    let fresh_node = |spec: &ShardSpec| {
-        let mut n = ServerNode::new(shard_server_params(&domain_params, spec));
-        // A worker born tampered (chaos testing) stays tampered across
-        // rebuilds; honest workers get the identity.
-        n.set_tamper(tamper0);
-        n
-    };
-    let node = Arc::new(RwLock::new(fresh_node(&spec0)));
-    let mut cur_spec = spec0;
-    let mut cur_gen = generation0;
-    let mut version_base = 0u64;
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        let (tag, msg) = link.recv()?.untag();
-        match msg {
-            Message::Upload {
-                owner,
-                column,
-                data,
-            } => {
-                node.write().store(owner as usize, column, data);
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::BulkUpload { owner, columns } => {
-                let mut node = node.write();
-                for (column, data) in columns {
-                    node.store(owner as usize, column, data);
-                }
-                drop(node);
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::SetTamper(t) => {
-                node.write().set_tamper(t);
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::DeltaUpload {
-                owner,
-                start,
-                columns,
-                ..
-            } => {
-                // Local (shard) coordinates; the finish permutations live
-                // at the router, so the shard node extends by identity
-                // (the wire extensions are ignored here). Best-effort: a
-                // malformed delta is simply not applied — verification
-                // catches the divergence.
-                let start = start as usize;
-                let added = columns.first().map(|(_, d)| d.len()).unwrap_or(0);
-                let grew = start == cur_spec.len && added > 0;
-                let applied = node
-                    .write()
-                    .delta_upload(owner as usize, start, columns, None)
-                    .is_ok();
-                if applied && grew {
-                    cur_spec.len += added;
-                }
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::RangeVersionProbe => {
-                // Fold the re-assignment base into every stamp: a healed
-                // (rebuilt + replayed) node must never report the same
-                // per-range versions as its predecessor, or a stale cache
-                // entry could validate across the heal.
-                let v: Vec<(u64, u64, u64)> = node
-                    .read()
-                    .range_versions()
-                    .into_iter()
-                    .map(|(s, l, ver)| (s, l, ver + version_base))
-                    .collect();
-                reply(link.as_ref(), tag, Message::Versions(v))?;
-            }
-            Message::Ping { seq } => {
-                reply(
-                    link.as_ref(),
-                    tag,
-                    Message::Pong {
-                        seq,
-                        generation: cur_gen,
-                    },
-                )?;
-            }
-            Message::Assign {
-                generation: gen,
-                start,
-                len,
-            } => {
-                let spec = ShardSpec {
-                    index: 0,
-                    start: start as usize,
-                    len: len as usize,
-                };
-                // An assignment to the range already held is a pure
-                // generation bump (the replay that follows overwrites
-                // the same slices); only a *moved* range rebuilds the
-                // node. Rebuilding on a no-op re-assign would wipe the
-                // store with nothing scheduled to restore it.
-                if spec.start != cur_spec.start || spec.len != cur_spec.len {
-                    // The write lock drains in-flight query readers
-                    // before the rebuild — no round computes across it.
-                    let mut node = node.write();
-                    version_base += node.version() + 1;
-                    *node = fresh_node(&spec);
-                    cur_spec = spec;
-                }
-                cur_gen = gen;
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::RunBatch(batch) => {
-                let node = Arc::clone(&node);
-                let link = Arc::clone(&link);
-                workers.push(std::thread::spawn(move || {
-                    let outs = run_batch_on(&node.read(), batch);
-                    let _ = reply(link.as_ref(), tag, Message::Outputs(outs));
-                }));
-            }
-            Message::ShardRun { shard, batch } => {
-                let node = Arc::clone(&node);
-                let link = Arc::clone(&link);
-                workers.push(std::thread::spawn(move || {
-                    let outputs = run_batch_on(&node.read(), batch);
-                    let _ = reply(link.as_ref(), tag, Message::ShardOutputs { shard, outputs });
-                }));
-            }
-            Message::Shutdown => {
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-                return Ok(());
-            }
-            _ => {
-                // Wide rounds are answered at the domain router, never
-                // at a worker; ignore stray traffic defensively.
-            }
-        }
-        workers.retain(|h| !h.is_finished());
     }
 }
 

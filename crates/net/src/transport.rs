@@ -253,10 +253,9 @@ mod tests {
 
     fn exercise(a: &dyn Link, b: &dyn Link) {
         let msgs = vec![
-            Message::Upload {
+            Message::BulkUpload {
                 owner: 1,
-                column: Column::Ok,
-                data: vec![1, 2, 3],
+                columns: vec![(Column::Ok, vec![1, 2, 3])],
             },
             Message::RunBatch(prism_protocol::engine::BatchQuery {
                 zs: vec![],

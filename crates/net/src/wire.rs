@@ -576,18 +576,9 @@ fn batch_len(batch: &BatchQuery) -> usize {
 /// Every message that can cross a PRISM link.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
-    /// Phase 1: an owner uploads one share column.
-    Upload {
-        /// Owner index.
-        owner: u32,
-        /// Target column.
-        column: Column,
-        /// Share values.
-        data: Vec<u64>,
-    },
-    /// Phase 1, batched: every column of one owner's per-server table in
-    /// a single round-trip (the upload-side mirror of
-    /// [`Message::RunBatch`]), replacing the one-message-per-column loop.
+    /// Phase 1: every column of one owner's per-server table in a single
+    /// round-trip (the upload-side mirror of [`Message::RunBatch`]); a
+    /// single-column upload is a one-column `BulkUpload`.
     BulkUpload {
         /// Owner index.
         owner: u32,
@@ -806,7 +797,6 @@ impl Message {
     /// straight into the target buffer.
     pub fn encoded_len(&self) -> usize {
         match self {
-            Message::Upload { column, data, .. } => 1 + 4 + column_len(column) + vec_len(data),
             Message::RunBatch(batch) => 1 + batch_len(batch),
             Message::Outputs(outs) => 1 + vecs_len(outs),
             Message::SetTamper(t) => 1 + tamper_len(t),
@@ -885,16 +875,6 @@ impl Message {
 
     fn write_to(&self, buf: &mut BytesMut) {
         match self {
-            Message::Upload {
-                owner,
-                column,
-                data,
-            } => {
-                buf.put_u8(0);
-                buf.put_u32_le(*owner);
-                encode_column(column, buf);
-                put_vec(buf, data);
-            }
             Message::RunBatch(batch) => {
                 buf.put_u8(1);
                 encode_batch(batch, buf);
@@ -1082,16 +1062,6 @@ impl Message {
     pub fn decode(mut buf: &[u8]) -> Result<Message, WireError> {
         let buf = &mut buf;
         Ok(match need(buf)? {
-            0 => {
-                let owner = need_u32(buf)?;
-                let column = decode_column(buf)?;
-                let data = get_vec(buf)?;
-                Message::Upload {
-                    owner,
-                    column,
-                    data,
-                }
-            }
             1 => Message::RunBatch(decode_batch(buf)?),
             2 => Message::Outputs(get_vecs(buf)?),
             3 => Message::SetTamper(decode_tamper(buf)?),
@@ -1284,20 +1254,17 @@ mod tests {
 
     #[test]
     fn all_messages_roundtrip() {
-        roundtrip(Message::Upload {
+        roundtrip(Message::BulkUpload {
             owner: 3,
-            column: Column::Ok,
-            data: vec![1, 2, 3],
+            columns: vec![(Column::Ok, vec![1, 2, 3])],
         });
-        roundtrip(Message::Upload {
+        roundtrip(Message::BulkUpload {
             owner: 0,
-            column: Column::Agg(2),
-            data: vec![],
+            columns: vec![(Column::Agg(2), vec![])],
         });
-        roundtrip(Message::Upload {
+        roundtrip(Message::BulkUpload {
             owner: 9,
-            column: Column::VAgg(3),
-            data: vec![u64::MAX],
+            columns: vec![(Column::VAgg(3), vec![u64::MAX])],
         });
         roundtrip(Message::RunBatch(BatchQuery {
             zs: vec![],
@@ -1421,9 +1388,10 @@ mod tests {
         roundtrip(Message::RangeVersionProbe);
         roundtrip(Message::Versions(Vec::new()));
         roundtrip(Message::Versions(vec![(0, 8, 1), (8, u64::MAX, u64::MAX)]));
-        // Tags 17/18 belonged to the retired whole-store version probe
-        // and stay unassigned.
-        for tag in [17u8, 18] {
+        // Tag 0 belonged to the retired single-column `Upload` and tags
+        // 17/18 to the retired whole-store version probe; all three stay
+        // unassigned.
+        for tag in [0u8, 17, 18] {
             assert_eq!(Message::decode(&[tag]).unwrap_err(), WireError::BadTag(tag));
         }
     }

@@ -787,3 +787,33 @@ fn rf2_tampered_primary_is_detected_never_retried_around() {
         assert!(i == 0 || joined.is_ok(), "worker {i} must exit cleanly");
     }
 }
+
+/// An upload shorter than the domain is sliced best-effort, exactly as a
+/// static sharded domain slices it: the short ranges would surface as
+/// shape errors at query time, and the full upload that follows
+/// overwrites them. It must never take the router down: a router that
+/// indexed past the column's end would panic, and every later call
+/// (shutdown included) would see a dead link.
+#[test]
+fn short_upload_leaves_the_elastic_domain_serving() {
+    let oracle_cluster = NetCluster::start_local(make_setup());
+    setup_and_upload(&oracle_cluster, &rows());
+    let oracle = oracle_cluster.psi_verified().unwrap();
+    oracle_cluster.shutdown().unwrap();
+
+    let (cluster, workers, announcer) = spawn_elastic(make_setup(), fast_cfg());
+    let short = cluster.bulk_upload(0, 0, vec![(Column::Ok, vec![1, 2, 3])]);
+    assert!(short.is_ok(), "short upload must be acked: {short:?}");
+    setup_and_upload(&cluster, &rows());
+    assert_eq!(cluster.psi_verified().unwrap(), oracle);
+    assert_eq!(cluster.registry().unwrap().failovers(), 0);
+
+    assert!(
+        cluster.shutdown().is_ok(),
+        "router must survive to shut down"
+    );
+    let _ = announcer.join();
+    for w in workers {
+        let _ = w.join();
+    }
+}

@@ -234,22 +234,6 @@ impl ShardPlan {
             })
             .collect())
     }
-
-    /// The row range shard `dead` owned — what a failover must
-    /// re-outsource. `None` if the plan has no such shard.
-    pub fn lost_range(&self, dead: usize) -> Option<ShardSpec> {
-        self.specs.get(dead).copied()
-    }
-
-    /// Re-plan the same domain over one fewer shard: the balanced
-    /// partition a registry assigns the survivors after shard `dead` is
-    /// confirmed down. The whole domain is re-fanned (every survivor may
-    /// shift), which is what makes the re-outsource path below correct:
-    /// survivors are re-uploaded wholesale, not patched.
-    pub fn without(&self, dead: usize) -> ShardPlan {
-        debug_assert!(dead < self.specs.len());
-        ShardPlan::new(self.b, self.specs.len().saturating_sub(1))
-    }
 }
 
 /// Derive the parameter view of one row-range shard from its domain's
@@ -641,30 +625,6 @@ mod tests {
     fn plan_clamps_excess_shards() {
         assert_eq!(ShardPlan::new(3, 64).shard_count(), 3);
         assert_eq!(ShardPlan::new(3, 0).shard_count(), 1);
-    }
-
-    #[test]
-    fn replan_without_dead_shard_covers_domain() {
-        for b in 1usize..=40 {
-            for k in 2usize..=8 {
-                let plan = ShardPlan::new(b, k);
-                for dead in 0..plan.shard_count() {
-                    let lost = plan.lost_range(dead).unwrap();
-                    assert_eq!(lost.index, dead);
-                    let healed = plan.without(dead);
-                    assert_eq!(healed.domain(), b);
-                    assert_eq!(
-                        healed.shard_count(),
-                        (plan.shard_count() - 1).clamp(1, b),
-                        "b={b} k={k} dead={dead}"
-                    );
-                    // Survivor plan still partitions the whole domain.
-                    let covered: usize = healed.specs().iter().map(|s| s.len).sum();
-                    assert_eq!(covered, b);
-                }
-            }
-        }
-        assert!(ShardPlan::new(8, 2).lost_range(5).is_none());
     }
 
     #[test]
