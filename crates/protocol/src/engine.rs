@@ -159,6 +159,31 @@ pub struct BatchQuery {
     pub range: Option<(u64, u64)>,
 }
 
+impl BatchQuery {
+    /// The auxiliary vector `item` consumes, if any; an index past
+    /// [`BatchQuery::zs`] is a parameter error.
+    pub(crate) fn z_for(&self, item: &BatchItem) -> Result<Option<&[u64]>> {
+        item.z
+            .map(|i| {
+                self.zs.get(i as usize).map(Vec::as_slice).ok_or_else(|| {
+                    ProtocolError::ParameterMismatch(format!(
+                        "batch z index {i} out of range ({} vectors)",
+                        self.zs.len()
+                    ))
+                })
+            })
+            .transpose()
+    }
+}
+
+/// Rows a stored-column output covers on a node holding `domain` rows:
+/// the range length for a range-scoped batch, else the domain. Capped at
+/// `domain`, so a range reaching past the node (which it rejects before
+/// any compute) never sizes a buffer.
+pub(crate) fn output_rows(domain: usize, range: Option<(u64, u64)>) -> usize {
+    range.map_or(domain, |(_, len)| len.min(domain as u64) as usize)
+}
+
 /// A command the owner side issues to one server within a round.
 #[derive(Debug, Clone)]
 pub enum ServerCmd {
@@ -251,8 +276,10 @@ pub enum AnnouncerReply {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryStats {
     /// Per-round maximum over servers of their compute time, summed over
-    /// rounds (servers run concurrently in deployment and never wait on
-    /// each other). Networked backends report round-trip wall time here.
+    /// rounds. Servers never wait on each other: deployed ones run on
+    /// their own machines and the in-process backends run a round's
+    /// servers concurrently, so the per-round maximum is the round's wall
+    /// time. Networked backends report round-trip wall time here.
     pub server_time: Duration,
     /// Owner-side result-construction time (Table 14's metric). Steps
     /// that every owner runs independently count the slowest owner.
@@ -288,8 +315,9 @@ impl QueryStats {
         self.rounds
     }
 
-    /// Server-side cost: per-round max compute in-process, round-trip
-    /// wall time over a wire.
+    /// Server-side cost: per-round max compute over the concurrently run
+    /// servers in-process (the round's wall time), round-trip wall time
+    /// over a wire.
     pub fn server_time(&self) -> Duration {
         self.server_time
     }
@@ -398,8 +426,8 @@ impl ExecMeters {
 pub struct RoundOutcome {
     /// Per-server replies, in command order.
     pub replies: Vec<ServerReply>,
-    /// Server-side cost of the round (max compute over servers
-    /// in-process; round-trip wall time over a wire).
+    /// Server-side cost of the round (max compute over the concurrently
+    /// run servers in-process; round-trip wall time over a wire).
     pub cost: Duration,
     /// Dispatch/cache meters for exactly this call.
     pub meters: ExecMeters,
@@ -557,7 +585,7 @@ const MAX_POOLED_BUFFERS: usize = 4;
 /// the session multiplexer, so the pool is behind a `Mutex` — the lock is
 /// held only for a pop/push, never during row work.
 #[derive(Debug, Default)]
-struct BufferArena {
+pub(crate) struct BufferArena {
     pool: std::sync::Mutex<Vec<Vec<u64>>>,
 }
 
@@ -567,11 +595,7 @@ impl BufferArena {
     fn take(&self, n: usize) -> Vec<u64> {
         let recycled = self.pool.lock().map(|mut p| p.pop()).unwrap_or(None);
         match recycled {
-            Some(mut buf) => {
-                buf.clear();
-                buf.resize(n, 0);
-                buf
-            }
+            Some(buf) => zeroed(buf, n),
             None => vec![0u64; n],
         }
     }
@@ -585,6 +609,35 @@ impl BufferArena {
             }
         }
     }
+
+    /// The stages after compute, shared by [`ServerNode`] and
+    /// [`crate::shard::ShardedNode`]: apply `tamper`, then the finish
+    /// permutation, staged through a pooled buffer.
+    pub(crate) fn finish(
+        &self,
+        tamper: &Tamper,
+        perm: Option<&Permutation>,
+        mut out: Vec<u64>,
+    ) -> Vec<u64> {
+        tamper.apply(&mut out);
+        match perm {
+            Some(p) => {
+                let mut permuted = self.take(out.len());
+                p.apply_into(&out, &mut permuted);
+                self.put(out);
+                permuted
+            }
+            None => out,
+        }
+    }
+}
+
+/// `buf` cleared and zero-filled to length `n` (reallocating only when
+/// its capacity is short).
+fn zeroed(mut buf: Vec<u64>, n: usize) -> Vec<u64> {
+    buf.clear();
+    buf.resize(n, 0);
+    buf
 }
 
 /// One PRISM server: parameters, stored share columns, and an optional
@@ -807,13 +860,45 @@ impl ServerNode {
     /// Range-scoping composes only for the permutation-free operations
     /// (`finish_perm` → `None`): the permuted rounds shuffle the whole
     /// domain, so a sub-range of their output is meaningless and rejected.
+    ///
+    /// The output lands in `given` when the caller supplied a buffer, else
+    /// in one checked out of the node's arena.
     fn query(
         &self,
         op: QueryOp,
         z: Option<&[u64]>,
         threads: usize,
         range: Option<(u64, u64)>,
+        given: Option<Vec<u64>>,
     ) -> Result<Vec<u64>> {
+        let n = output_rows(self.params.b, range);
+        let mut out = match given {
+            Some(buf) => zeroed(buf, n),
+            None => self.arena.take(n),
+        };
+        if let Err(e) = self.compute_into(op, z, threads, range, &mut out) {
+            self.arena.put(out);
+            return Err(e);
+        }
+        Ok(self
+            .arena
+            .finish(&self.tamper, op.finish_perm(&self.params)?, out))
+    }
+
+    /// The compute phase of [`ServerNode::query`] alone: evaluate `op` over
+    /// this node's rows, or the global sub-range `range`, into `out`
+    /// (exactly as long as the evaluated rows), with no tamper and no
+    /// finish permutation. A [`crate::shard::ShardedNode`] calls this on
+    /// each shard with that shard's slice of one domain-length buffer,
+    /// then applies the domain's tamper and permutation once.
+    pub(crate) fn compute_into(
+        &self,
+        op: QueryOp,
+        z: Option<&[u64]>,
+        threads: usize,
+        range: Option<(u64, u64)>,
+        out: &mut [u64],
+    ) -> Result<()> {
         let full_sp = &self.params;
         // Resolve the optional global range to local coordinates and
         // range-shaped parameters.
@@ -853,30 +938,29 @@ impl ServerNode {
                 Some((s, l)) => all.get(s..s + l).unwrap_or(&[]),
             }
         }
-        // All compute kernels write into an arena buffer in place; the
-        // power table and PSU blinding slice are session-cached, so the
-        // warm path performs no per-row allocation at all.
-        let mut out = self.arena.take(sp.b);
-        let step = match op {
+        // All compute kernels write into `out` in place; the power table
+        // and PSU blinding slice are session-cached, so the warm path
+        // performs no per-row allocation at all.
+        match op {
             QueryOp::Psi => psi::server_psi_round_into(
                 &self.col_refs(Column::Ok, slice),
                 sp,
                 self.power_table(),
-                &mut out,
+                out,
                 threads,
             ),
             QueryOp::PsiVerify => psi::server_psi_verify_round_into(
                 &self.col_refs(Column::VOk, slice),
                 sp,
                 self.power_table(),
-                &mut out,
+                out,
                 threads,
             ),
             QueryOp::Psu => psu::server_psu_round_into(
                 &self.col_refs(Column::Ok, slice),
                 sliced(self.psu_rand(), slice),
                 sp,
-                &mut out,
+                out,
                 threads,
             ),
             QueryOp::PsuVerify(which) => {
@@ -885,7 +969,7 @@ impl ServerNode {
                     &self.col_refs(col, slice),
                     sliced(self.psu_rand(), slice),
                     sp,
-                    &mut out,
+                    out,
                     threads,
                 )
             }
@@ -893,7 +977,7 @@ impl ServerNode {
                 &self.col_refs(Column::Ok, slice),
                 sp,
                 self.power_table(),
-                &mut out,
+                out,
                 threads,
             ),
             QueryOp::CountVerify(which) => {
@@ -902,7 +986,7 @@ impl ServerNode {
                     &self.col_refs(col, slice),
                     sp,
                     self.power_table(),
-                    &mut out,
+                    out,
                     threads,
                 )
             }
@@ -910,45 +994,31 @@ impl ServerNode {
                 &self.col_refs(Column::Agg(a), slice),
                 need_z()?,
                 sp,
-                &mut out,
+                out,
                 threads,
             ),
             QueryOp::SumVerify(a) => sum::server_sum_round_into(
                 &self.col_refs(Column::VAgg(a), slice),
                 need_z()?,
                 sp,
-                &mut out,
+                out,
                 threads,
             ),
             QueryOp::SumCounts => sum::server_sum_round_into(
                 &self.col_refs(Column::AOk, slice),
                 need_z()?,
                 sp,
-                &mut out,
+                out,
                 threads,
             ),
             QueryOp::CountVerifyComplement => psi::server_psi_verify_round_into(
                 &self.col_refs(Column::VOk, slice),
                 sp,
                 self.power_table(),
-                &mut out,
+                out,
                 threads,
             ),
-        };
-        if let Err(e) = step {
-            self.arena.put(out);
-            return Err(e);
         }
-        self.tamper.apply(&mut out);
-        Ok(match op.finish_perm(sp)? {
-            Some(p) => {
-                let mut permuted = self.arena.take(out.len());
-                p.apply_into(&out, &mut permuted);
-                self.arena.put(out);
-                permuted
-            }
-            None => out,
-        })
     }
 
     /// Execute one command. `Run` batches evaluate item-by-item; wide
@@ -956,27 +1026,24 @@ impl ServerNode {
     /// applies to every stored-column output (wide rounds model honest
     /// relaying; tampering there is exercised at the announcer instead).
     pub fn execute(&self, cmd: &ServerCmd) -> Result<ServerReply> {
+        self.execute_into(cmd, Vec::new())
+    }
+}
+
+impl RoundNode for ServerNode {
+    fn rows(&self) -> usize {
+        self.params.b
+    }
+
+    fn execute_into(&self, cmd: &ServerCmd, outs: Vec<Vec<u64>>) -> Result<ServerReply> {
         match cmd {
             ServerCmd::Run(batch) => {
                 let threads = batch.threads.max(1) as usize;
+                let mut given = outs.into_iter();
                 let mut outs = Vec::with_capacity(batch.items.len());
                 for item in &batch.items {
-                    let z = match item.z {
-                        None => None,
-                        Some(i) => Some(
-                            batch
-                                .zs
-                                .get(i as usize)
-                                .ok_or_else(|| {
-                                    ProtocolError::ParameterMismatch(format!(
-                                        "batch z index {i} out of range ({} vectors)",
-                                        batch.zs.len()
-                                    ))
-                                })?
-                                .as_slice(),
-                        ),
-                    };
-                    outs.push(self.query(item.op, z, threads, batch.range)?);
+                    let z = batch.z_for(item)?;
+                    outs.push(self.query(item.op, z, threads, batch.range, given.next())?);
                 }
                 Ok(ServerReply::Vectors(outs))
             }
@@ -1004,11 +1071,13 @@ pub trait ServerExec {
     /// Deliver each `(server, command)` pair and collect replies in order.
     /// One call corresponds to one owner↔server communication round; the
     /// outcome carries the backend's notion of server-side cost for the
-    /// round (max compute over servers in-process; round-trip wall time
-    /// over a wire) plus the dispatch meters attributable to exactly this
-    /// call. Wide matrices produced by [`ServerCmd::MaxCombine`] must be
-    /// delivered to the backend's announcer and replaced by
-    /// [`ServerReply::WideForwarded`] receipts.
+    /// round plus the dispatch meters attributable to exactly this call.
+    /// In-process backends run the round's servers concurrently and
+    /// report the max compute over servers, which is the round's wall
+    /// time; networked ones report round-trip wall time. Wide matrices
+    /// produced by [`ServerCmd::MaxCombine`] must be delivered to the
+    /// backend's announcer and replaced by [`ServerReply::WideForwarded`]
+    /// receipts.
     fn round(&self, cmds: Vec<(usize, ServerCmd)>) -> Result<RoundOutcome>;
 
     /// Ask the announcer to act on the wide matrices staged by the
@@ -1242,9 +1311,98 @@ pub fn forward_wide(
     }
 }
 
-/// [`ServerExec`] over nodes living in this process: commands are direct
-/// method calls, per-server compute is timed individually and the round
-/// cost is the maximum (deployed servers run concurrently).
+/// A server the in-process backends dispatch rounds to: a monolithic
+/// [`ServerNode`] or a [`crate::shard::ShardedNode`].
+pub(crate) trait RoundNode: Sync {
+    /// Rows of the node's domain (a whole-domain output's length).
+    fn rows(&self) -> usize;
+
+    /// Execute `cmd`. A `Run` batch computes item `i` into `outs[i]` when
+    /// the caller supplied it (an empty buffer with the output's
+    /// capacity); missing buffers are allocated by the node.
+    fn execute_into(&self, cmd: &ServerCmd, outs: Vec<Vec<u64>>) -> Result<ServerReply>;
+}
+
+/// Run every job concurrently — each on its own scoped thread, the last
+/// one on the calling thread — and return their results in job order. A
+/// job that panics yields a [`ProtocolError::Transport`] naming `who`
+/// instead of unwinding into the caller.
+pub(crate) fn run_concurrently<T, F>(mut jobs: Vec<F>, who: &str) -> Vec<Result<T>>
+where
+    T: Send,
+    F: FnOnce() -> Result<T> + Send,
+{
+    let panicked = || Err(ProtocolError::Transport(format!("{who} panicked")));
+    let Some(last) = jobs.pop() else {
+        return Vec::new();
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(job)).collect();
+        let last = std::panic::catch_unwind(std::panic::AssertUnwindSafe(last))
+            .unwrap_or_else(|_| panicked());
+        let mut results: Vec<Result<T>> = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|_| panicked()))
+            .collect();
+        results.push(last);
+        results
+    })
+}
+
+/// One in-process round: every `(server, command)` pair runs concurrently
+/// (see [`run_concurrently`]), as deployed servers do, and the cost is the
+/// slowest server's compute — the round's wall time. Replies are then
+/// forwarded in server order, stopping at the first error, so announcer
+/// staging and the error returned match a one-after-another loop.
+///
+/// `Run` output buffers are allocated here, on the calling thread, before
+/// any server starts: large buffers allocated on the server threads land
+/// in per-thread `malloc` arenas, which measurably slowed the next
+/// cluster build.
+pub(crate) fn dispatch_round<N: RoundNode>(
+    nodes: &[N],
+    announcer: &Announcer,
+    cmds: &[(usize, ServerCmd)],
+) -> Result<(Vec<ServerReply>, Duration)> {
+    let jobs: Vec<_> = cmds
+        .iter()
+        .map(|(s, cmd)| {
+            let node = nodes.get(*s);
+            let outs = match (node, cmd) {
+                (Some(node), ServerCmd::Run(batch)) => {
+                    let rows = output_rows(node.rows(), batch.range);
+                    batch
+                        .items
+                        .iter()
+                        .map(|_| Vec::with_capacity(rows))
+                        .collect()
+                }
+                _ => Vec::new(),
+            };
+            move || {
+                let node = node.ok_or_else(|| {
+                    ProtocolError::ParameterMismatch(format!("no server {s} in this deployment"))
+                })?;
+                let t0 = Instant::now();
+                let reply = node.execute_into(cmd, outs)?;
+                Ok((reply, t0.elapsed()))
+            }
+        })
+        .collect();
+    let mut worst = Duration::ZERO;
+    let mut replies = Vec::with_capacity(cmds.len());
+    let mut round_seq = None;
+    for ((s, _), result) in cmds.iter().zip(run_concurrently(jobs, "server")) {
+        let (reply, cost) = result?;
+        worst = worst.max(cost);
+        replies.push(forward_wide(announcer, *s, reply, &mut round_seq)?);
+    }
+    Ok((replies, worst))
+}
+
+/// [`ServerExec`] over nodes living in this process: the servers of a
+/// round run concurrently, each on its own scoped thread, and the round
+/// cost is the slowest server's compute.
 #[derive(Debug)]
 pub struct InMemoryExec<'a> {
     nodes: &'a [ServerNode],
@@ -1260,19 +1418,8 @@ impl<'a> InMemoryExec<'a> {
 
 impl ServerExec for InMemoryExec<'_> {
     fn round(&self, cmds: Vec<(usize, ServerCmd)>) -> Result<RoundOutcome> {
-        let mut worst = Duration::ZERO;
-        let mut replies = Vec::with_capacity(cmds.len());
-        let mut round_seq = None;
-        for (s, cmd) in &cmds {
-            let node = self.nodes.get(*s).ok_or_else(|| {
-                ProtocolError::ParameterMismatch(format!("no server {s} in this deployment"))
-            })?;
-            let t0 = Instant::now();
-            let reply = node.execute(cmd)?;
-            worst = worst.max(t0.elapsed());
-            replies.push(forward_wide(self.announcer, *s, reply, &mut round_seq)?);
-        }
-        Ok(RoundOutcome::plain(replies, worst))
+        let (replies, cost) = dispatch_round(self.nodes, self.announcer, &cmds)?;
+        Ok(RoundOutcome::plain(replies, cost))
     }
 
     fn announce(
@@ -1362,13 +1509,14 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
     }
 
     /// Issue the same batch of stored-column items to each listed server
-    /// (with per-server auxiliary vectors from `zs_for`) in one round;
+    /// (with per-server auxiliary vectors from `zs_for`, called once per
+    /// server, so it may move each server's shares in) in one round;
     /// returns, per server, the per-item outputs.
     pub fn query(
         &mut self,
         servers: &[usize],
         items: &[BatchItem],
-        zs_for: impl Fn(usize) -> Vec<Vec<u64>>,
+        mut zs_for: impl FnMut(usize) -> Vec<Vec<u64>>,
     ) -> Result<Vec<Vec<Vec<u64>>>> {
         let threads = self.threads as u32;
         let range = self.range;
@@ -1629,6 +1777,64 @@ mod tests {
         // ...and B's announce still succeeds (the mismatch left the
         // inbox untouched).
         assert!(ann.announce(AnnouncerCmd::FindMedian, seq_b, 1).is_ok());
+    }
+
+    /// A server whose answer to every command is scripted.
+    enum Scripted {
+        Answer,
+        Panic,
+        /// Fail once the signal arrives.
+        FailAfter(std::sync::Mutex<std::sync::mpsc::Receiver<()>>),
+        /// Send the signal, then panic.
+        SignalThenPanic(std::sync::mpsc::Sender<()>),
+    }
+
+    impl RoundNode for Scripted {
+        fn rows(&self) -> usize {
+            4
+        }
+
+        fn execute_into(&self, _: &ServerCmd, _: Vec<Vec<u64>>) -> Result<ServerReply> {
+            match self {
+                Scripted::Answer => Ok(ServerReply::Versions(Vec::new())),
+                Scripted::Panic => panic!("scripted server panic"),
+                Scripted::FailAfter(signal) => {
+                    signal.lock().expect("one waiter").recv().expect("signal");
+                    Err(ProtocolError::ParameterMismatch("scripted".into()))
+                }
+                Scripted::SignalThenPanic(signal) => {
+                    signal.send(()).expect("waiter alive");
+                    panic!("scripted server panic")
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_rounds_map_panics_and_report_errors_in_server_order() {
+        use Scripted::*;
+        let ann = announcer();
+        let cmds: Vec<(usize, ServerCmd)> = (0..3).map(|s| (s, ServerCmd::RangeVersions)).collect();
+        // A panic on a spawned server thread, or on the calling thread
+        // (the last server runs there), surfaces as a transport error.
+        for nodes in [[Panic, Answer, Answer], [Answer, Answer, Panic]] {
+            let err = dispatch_round(&nodes, &ann, &cmds).unwrap_err();
+            assert!(matches!(err, ProtocolError::Transport(_)), "{err:?}");
+        }
+        // Server 2 fails first and server 1 only after it, yet server 1's
+        // error is the round's, as in a one-after-another loop.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let nodes = [Answer, FailAfter(rx.into()), SignalThenPanic(tx)];
+        let err = dispatch_round(&nodes, &ann, &cmds).unwrap_err();
+        assert_eq!(err, ProtocolError::ParameterMismatch("scripted".into()));
+        let err = dispatch_round(&[Answer, Answer], &ann, &cmds).unwrap_err();
+        assert_eq!(
+            err,
+            ProtocolError::ParameterMismatch("no server 2 in this deployment".into())
+        );
+        // The caller survives and the next round answers normally.
+        let (replies, _) = dispatch_round(&[Answer, Answer, Answer], &ann, &cmds).unwrap();
+        assert_eq!(replies.len(), 3);
     }
 
     #[test]

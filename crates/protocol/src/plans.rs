@@ -228,9 +228,9 @@ impl Operation for Sum {
     type Output = Vec<u64>;
 
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<u64>> {
-        let (_, zs) = psi_then_z(ctx, self.seed)?;
+        let (_, mut zs) = psi_then_z(ctx, self.seed)?;
         let items = [BatchItem::with_z(QueryOp::Sum(self.attr), 0)];
-        let outs = ctx.query(&SHAMIR, &items, |k| vec![zs[k].clone()])?;
+        let outs = ctx.query(&SHAMIR, &items, |k| vec![std::mem::take(&mut zs[k])])?;
         let op = ctx.params();
         ctx.try_owner_step(|| finalize_col(&outs, 0, op))
     }
@@ -250,13 +250,13 @@ impl Operation for SumMulti {
     type Output = Vec<Vec<u64>>;
 
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<Vec<u64>>> {
-        let (_, zs) = psi_then_z(ctx, self.seed)?;
+        let (_, mut zs) = psi_then_z(ctx, self.seed)?;
         let items: Vec<BatchItem> = self
             .attrs
             .iter()
             .map(|&a| BatchItem::with_z(QueryOp::Sum(a), 0))
             .collect();
-        let outs = ctx.query(&SHAMIR, &items, |k| vec![zs[k].clone()])?;
+        let outs = ctx.query(&SHAMIR, &items, |k| vec![std::mem::take(&mut zs[k])])?;
         let op = ctx.params();
         ctx.try_owner_step(|| {
             (0..self.attrs.len())
@@ -282,7 +282,7 @@ impl Operation for SumVerified {
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<u64>> {
         let outcome = Psi.execute(ctx)?;
         let op = ctx.params();
-        let (zs, zps) = ctx.owner_step(|| {
+        let (mut zs, mut zps) = ctx.owner_step(|| {
             let z = sum::owner_build_z(&outcome.fop);
             let mut prg = Prg::from_seed(self.seed);
             let z_shares = share_payload(&z, &op.field, &mut prg).shares;
@@ -295,7 +295,9 @@ impl Operation for SumVerified {
             BatchItem::with_z(QueryOp::Sum(self.attr), 0),
             BatchItem::with_z(QueryOp::SumVerify(self.attr), 1),
         ];
-        let outs = ctx.query(&SHAMIR, &items, |k| vec![zs[k].clone(), zps[k].clone()])?;
+        let outs = ctx.query(&SHAMIR, &items, |k| {
+            vec![std::mem::take(&mut zs[k]), std::mem::take(&mut zps[k])]
+        })?;
         ctx.try_owner_step(|| {
             let primary = finalize_col(&outs, 0, op)?;
             let verification = finalize_col(&outs, 1, op)?;
@@ -318,12 +320,12 @@ impl Operation for Average {
     type Output = Vec<AvgCell>;
 
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<AvgCell>> {
-        let (_, zs) = psi_then_z(ctx, self.seed)?;
+        let (_, mut zs) = psi_then_z(ctx, self.seed)?;
         let items = [
             BatchItem::with_z(QueryOp::Sum(self.attr), 0),
             BatchItem::with_z(QueryOp::SumCounts, 0),
         ];
-        let outs = ctx.query(&SHAMIR, &items, |k| vec![zs[k].clone()])?;
+        let outs = ctx.query(&SHAMIR, &items, |k| vec![std::mem::take(&mut zs[k])])?;
         let op = ctx.params();
         ctx.try_owner_step(|| {
             let sums = finalize_col(&outs, 0, op)?;
@@ -407,7 +409,7 @@ impl Operation for Batch<'_> {
     type Output = Vec<AggResult>;
 
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<AggResult>> {
-        let (_, zs) = psi_then_z(ctx, self.seed)?;
+        let (_, mut zs) = psi_then_z(ctx, self.seed)?;
         // Dedup the server passes: one Sum(attr) item per distinct
         // attribute, at most one SumCounts item, whatever the aggs ask.
         let mut items: Vec<BatchItem> = Vec::new();
@@ -428,7 +430,7 @@ impl Operation for Batch<'_> {
         if items.is_empty() {
             return Ok(Vec::new());
         }
-        let outs = ctx.query(&SHAMIR, &items, |k| vec![zs[k].clone()])?;
+        let outs = ctx.query(&SHAMIR, &items, |k| vec![std::mem::take(&mut zs[k])])?;
         let op = ctx.params();
         ctx.try_owner_step(|| {
             let finalized: Vec<Vec<u64>> = (0..items.len())

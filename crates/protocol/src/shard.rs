@@ -18,32 +18,36 @@
 //!   permutes**, because `PF_s1`/`PF_s2` are defined over the whole
 //!   domain.
 //! * [`ShardedNode`] is the domain front-end: it splits Phase-1 uploads
-//!   and per-round batches by rows, fans [`ServerCmd::Run`] out across
-//!   its shard nodes on scoped threads, and merges shard rows back into
-//!   the single full-length reply the plans expect — applying the
-//!   domain-level [`Tamper`] and finish permutation *after* the merge,
-//!   exactly where the monolithic [`ServerNode`] applies them. Results
-//!   are therefore bit-identical for every shard count.
+//!   by rows and fans [`ServerCmd::Run`] out across its shard nodes on
+//!   scoped threads. Each shard computes its rows in place into its
+//!   slice of the single full-length reply the plans expect, reading `z`
+//!   through borrowed slices; the domain-level [`Tamper`] and finish
+//!   permutation then apply to the assembled reply, exactly where the
+//!   monolithic [`ServerNode`] applies them. Results are therefore
+//!   bit-identical for every shard count.
 //! * [`ShardedExec`] implements [`ServerExec`] over sharded nodes, so
-//!   every existing plan runs unchanged on 1..k shards; its
-//!   [`ExecMeters`] expose the fan-out as `shard_dispatches`, which
-//!   [`QueryStats`](crate::engine::QueryStats) picks up per query.
+//!   every existing plan runs unchanged on 1..k shards; it runs a
+//!   round's servers concurrently, like [`crate::engine::InMemoryExec`],
+//!   and its [`ExecMeters`] expose the fan-out as `shard_dispatches`,
+//!   which [`QueryStats`](crate::engine::QueryStats) picks up per query.
 //!
 //! The networked deployment reuses the same row math: `prism_net`'s
 //! domain router calls [`ShardPlan::split_batch`] /
-//! [`merge_shard_outputs`] around its per-shard links, so in-process and
-//! wire sharding cannot drift.
+//! [`merge_shard_outputs`] around its per-shard links (it has to ship
+//! owned sub-batches anyway), and both sides cut rows with the same
+//! shard windows, so in-process and wire sharding cannot drift.
 
 use crate::engine::{
-    forward_wide, Announcer, AnnouncerCmd, AnnouncerReply, BatchQuery, Column, ExecMeters,
-    RoundOutcome, ServerCmd, ServerExec, ServerNode, ServerReply,
+    dispatch_round, run_concurrently, Announcer, AnnouncerCmd, AnnouncerReply, BatchQuery,
+    BufferArena, Column, ExecMeters, RoundNode, RoundOutcome, ServerCmd, ServerExec, ServerNode,
+    ServerReply,
 };
 use crate::error::{ProtocolError, Result};
 use crate::malicious::Tamper;
 use crate::params::ServerParams;
 use prism_core::Permutation;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One row-range shard: global rows `[start, start + len)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,11 +185,28 @@ impl ShardPlan {
     /// with each shard's overlap of the range (possibly empty — shards
     /// outside the range evaluate nothing and reply empty rows), so the
     /// fan-out structure is identical for scoped and whole-domain rounds.
+    ///
+    /// The sub-batches own copies of their `z` rows, which a router
+    /// shipping them over links needs; [`ShardedNode`] borrows the same
+    /// rows in place instead.
     pub fn split_batch(&self, batch: &BatchQuery) -> Result<Vec<BatchQuery>> {
-        let expect = match batch.range {
-            None => self.b,
-            Some((_, len)) => len as usize,
-        };
+        self.check_zs(batch)?;
+        Ok(self
+            .windows(batch.range)
+            .into_iter()
+            .map(|w| BatchQuery {
+                zs: batch.zs.iter().map(|z| z[w.rows()].to_vec()).collect(),
+                items: batch.items.clone(),
+                threads: batch.threads,
+                range: w.range,
+            })
+            .collect())
+    }
+
+    /// Every `z` of `batch` must cover the domain, or the range of a
+    /// range-scoped batch.
+    fn check_zs(&self, batch: &BatchQuery) -> Result<()> {
+        let expect = output_len(self.b, batch.range);
         for (i, z) in batch.zs.iter().enumerate() {
             if z.len() != expect {
                 return Err(ProtocolError::ParameterMismatch(format!(
@@ -195,18 +216,20 @@ impl ShardPlan {
                 )));
             }
         }
-        Ok(self
-            .specs
+        Ok(())
+    }
+
+    /// Each shard's share of a round over `range` (`None` = the whole
+    /// domain), in shard order. The non-empty windows tile the batch's
+    /// rows contiguously from row 0 of its output (and of its `z`
+    /// vectors).
+    fn windows(&self, range: Option<(u64, u64)>) -> Vec<ShardWindow> {
+        self.specs
             .iter()
-            .map(|s| match batch.range {
-                None => BatchQuery {
-                    zs: batch
-                        .zs
-                        .iter()
-                        .map(|z| z[s.start..s.start + s.len].to_vec())
-                        .collect(),
-                    items: batch.items.clone(),
-                    threads: batch.threads,
+            .map(|s| match range {
+                None => ShardWindow {
+                    at: s.start,
+                    len: s.len,
                     range: None,
                 },
                 Some((gs, glen)) => {
@@ -215,25 +238,40 @@ impl ShardPlan {
                     let hi = (gs + glen).min(s.start + s.len);
                     let (lo, len) = if lo < hi { (lo, hi - lo) } else { (s.start, 0) };
                     // A shard fully outside the range gets an empty
-                    // sub-range anchored at its own start; its z slice is
-                    // empty, and the clamp keeps the slice arithmetic in
-                    // bounds whether the shard lies before or after the
-                    // range.
-                    let zlo = lo.saturating_sub(gs).min(glen);
-                    BatchQuery {
-                        zs: batch
-                            .zs
-                            .iter()
-                            .map(|z| z[zlo..zlo + len].to_vec())
-                            .collect(),
-                        items: batch.items.clone(),
-                        threads: batch.threads,
+                    // sub-range anchored at its own start; the clamp keeps
+                    // its (empty) row window in bounds whether the shard
+                    // lies before or after the range.
+                    ShardWindow {
+                        at: lo.saturating_sub(gs).min(glen),
+                        len,
                         range: Some((lo as u64, len as u64)),
                     }
                 }
             })
-            .collect())
+            .collect()
     }
+}
+
+/// One shard's share of a round: rows `[at, at + len)` of the batch's
+/// output and `z` vectors, evaluated by the shard over `range` (global
+/// coordinates; `None` = all of the shard's rows).
+#[derive(Debug, Clone, Copy)]
+struct ShardWindow {
+    at: usize,
+    len: usize,
+    range: Option<(u64, u64)>,
+}
+
+impl ShardWindow {
+    fn rows(&self) -> std::ops::Range<usize> {
+        self.at..self.at + self.len
+    }
+}
+
+/// Rows a batch's outputs and `z` vectors cover on a `domain`-row
+/// domain: the range length for a range-scoped batch.
+fn output_len(domain: usize, range: Option<(u64, u64)>) -> usize {
+    range.map_or(domain, |(_, len)| len as usize)
 }
 
 /// Derive the parameter view of one row-range shard from its domain's
@@ -258,6 +296,10 @@ pub fn shard_server_params(sp: &ServerParams, spec: &ShardSpec) -> ServerParams 
 /// *compute → tamper → permute* staging as the monolithic
 /// [`ServerNode`], so results are bit-identical for every shard count.
 ///
+/// This is the networked router's merge: its shards reply over links
+/// with owned row vectors. In-process, [`ShardedNode`] assembles the rows
+/// in place instead.
+///
 /// `per_shard[s][i]` is shard `s`'s output for batch item `i`. Shards are
 /// untrusted transport-wise (a wire deployment may run them as separate
 /// processes), so shapes are validated, never indexed blindly.
@@ -274,10 +316,7 @@ pub fn merge_shard_outputs(
             ));
         }
     }
-    let expect = match batch.range {
-        None => domain.b,
-        Some((_, len)) => len as usize,
-    };
+    let expect = output_len(domain.b, batch.range);
     let mut merged = Vec::with_capacity(batch.items.len());
     for (i, item) in batch.items.iter().enumerate() {
         let mut full = Vec::with_capacity(expect);
@@ -291,7 +330,11 @@ pub fn merge_shard_outputs(
         }
         tamper.apply(&mut full);
         merged.push(match item.op.finish_perm(domain)? {
-            Some(p) => p.apply(&full),
+            Some(p) => {
+                let mut permuted = vec![0u64; expect];
+                p.apply_into(&full, &mut permuted);
+                permuted
+            }
             None => full,
         });
     }
@@ -304,7 +347,7 @@ pub fn merge_shard_outputs(
 /// server side of the wall: Phase-1 uploads are split by rows, stored-
 /// column rounds fan out across the shard nodes on scoped threads, and
 /// the domain-level tampering behaviour plus finish permutations are
-/// applied to the merged output (shard nodes are always honest and
+/// applied to the assembled output (shard nodes are always honest and
 /// identity-permuted — a malicious *server* controls its domain front-end,
 /// which is exactly where [`Tamper`] attaches).
 ///
@@ -317,6 +360,8 @@ pub struct ShardedNode {
     plan: ShardPlan,
     shards: Vec<ServerNode>,
     dispatches: AtomicU64,
+    /// Staging buffers for the domain-level finish permutation.
+    arena: BufferArena,
 }
 
 impl ShardedNode {
@@ -334,6 +379,7 @@ impl ShardedNode {
             plan,
             shards: nodes,
             dispatches: AtomicU64::new(0),
+            arena: BufferArena::default(),
         }
     }
 
@@ -359,7 +405,7 @@ impl ShardedNode {
     }
 
     /// Attach a domain-level tampering behaviour (tests). Applied to every
-    /// merged stored-column output, pre-permutation — the same corruption
+    /// assembled stored-column output, pre-permutation — the same corruption
     /// point as the monolithic node.
     pub fn set_tamper(&mut self, tamper: Tamper) {
         self.tamper = tamper;
@@ -454,17 +500,85 @@ impl ShardedNode {
     /// Execute one command against the domain, fanning stored-column
     /// batches across the shard nodes in parallel.
     pub fn execute(&self, cmd: &ServerCmd) -> Result<ServerReply> {
-        match cmd {
-            ServerCmd::Run(batch) => {
-                let subs = self.plan.split_batch(batch)?;
-                let per_shard = self.run_fanout(subs)?;
-                Ok(ServerReply::Vectors(merge_shard_outputs(
-                    &per_shard,
-                    batch,
-                    &self.params,
-                    &self.tamper,
-                )?))
+        self.execute_into(cmd, Vec::new())
+    }
+
+    /// Evaluate a stored-column batch across the shards. Each shard
+    /// computes its rows straight into its disjoint slice of one buffer
+    /// per item (`outs[i]` when supplied) and reads `z` through borrowed
+    /// slices; the domain tamper and finish permutation then run once on
+    /// each assembled buffer — the *compute → tamper → permute* staging of
+    /// the monolithic [`ServerNode`], so results are bit-identical for
+    /// every shard count.
+    fn run(&self, batch: &BatchQuery, mut outs: Vec<Vec<u64>>) -> Result<Vec<Vec<u64>>> {
+        self.plan.check_zs(batch)?;
+        let windows = self.plan.windows(batch.range);
+        // Less than the batch's rows only when its range reaches past the
+        // domain, which fails below once the shards have answered.
+        let covered = windows.iter().map(|w| w.len).sum();
+        outs.resize_with(batch.items.len(), Vec::new);
+        for out in &mut outs {
+            out.clear();
+            out.resize(covered, 0);
+        }
+        // per_shard[s][i]: shard s's rows of item i's buffer.
+        let mut per_shard: Vec<Vec<&mut [u64]>> = windows.iter().map(|_| Vec::new()).collect();
+        for out in &mut outs {
+            let mut rest = out.as_mut_slice();
+            for (w, rows) in windows.iter().zip(&mut per_shard) {
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(w.len);
+                rows.push(mine);
+                rest = tail;
             }
+        }
+        let threads = batch.threads.max(1) as usize;
+        let jobs: Vec<_> = self
+            .shards
+            .iter()
+            .zip(&windows)
+            .zip(per_shard)
+            .map(|((node, w), rows)| {
+                move || {
+                    for (item, out) in batch.items.iter().zip(rows) {
+                        let z = batch.z_for(item)?.map(|z| &z[w.rows()]);
+                        node.compute_into(item.op, z, threads, w.range, out)?;
+                    }
+                    Ok(())
+                }
+            })
+            .collect();
+        if self.shards.len() > 1 {
+            self.dispatches
+                .fetch_add(self.shards.len() as u64, Ordering::Relaxed);
+        }
+        for result in run_concurrently(jobs, "shard worker") {
+            result?;
+        }
+        if covered != output_len(self.params.b, batch.range) {
+            return Err(ProtocolError::MalformedResponse(
+                "shard rows do not reassemble to the domain length",
+            ));
+        }
+        batch
+            .items
+            .iter()
+            .zip(outs)
+            .map(|(item, out)| {
+                let perm = item.op.finish_perm(&self.params)?;
+                Ok(self.arena.finish(&self.tamper, perm, out))
+            })
+            .collect()
+    }
+}
+
+impl RoundNode for ShardedNode {
+    fn rows(&self) -> usize {
+        self.params.b
+    }
+
+    fn execute_into(&self, cmd: &ServerCmd, outs: Vec<Vec<u64>>) -> Result<ServerReply> {
+        match cmd {
+            ServerCmd::Run(batch) => Ok(ServerReply::Vectors(self.run(batch, outs)?)),
             // Wide rounds read only parameters (pf_owners, wide_width) —
             // identical on every shard — and model honest relaying, so
             // shard 0 answers for the domain.
@@ -482,51 +596,13 @@ impl ShardedNode {
             )),
         }
     }
-
-    /// Run one sub-batch per shard, in parallel when there is more than
-    /// one shard, collecting each shard's per-item outputs in shard order.
-    fn run_fanout(&self, subs: Vec<BatchQuery>) -> Result<Vec<Vec<Vec<u64>>>> {
-        let expect_vectors = |reply: Result<ServerReply>| -> Result<Vec<Vec<u64>>> {
-            match reply? {
-                ServerReply::Vectors(v) => Ok(v),
-                _ => Err(ProtocolError::MalformedResponse(
-                    "expected vector outputs from a shard batch",
-                )),
-            }
-        };
-        if self.shards.len() == 1 {
-            let sub = subs.into_iter().next().expect("plan has one shard");
-            return Ok(vec![expect_vectors(
-                self.shards[0].execute(&ServerCmd::Run(sub)),
-            )?]);
-        }
-        self.dispatches
-            .fetch_add(self.shards.len() as u64, Ordering::Relaxed);
-        let results: Vec<Result<ServerReply>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .zip(subs)
-                .map(|(node, sub)| scope.spawn(move || node.execute(&ServerCmd::Run(sub))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(ProtocolError::Transport("shard worker panicked".into()))
-                    })
-                })
-                .collect()
-        });
-        results.into_iter().map(expect_vectors).collect()
-    }
 }
 
 /// [`ServerExec`] over sharded domains living in this process: the
-/// sharded sibling of [`crate::engine::InMemoryExec`]. Per-domain compute
-/// is timed individually and the round cost is the maximum (deployed
-/// domains run concurrently); the fan-out *inside* each domain is part of
-/// that domain's wall time, which is the whole point.
+/// sharded sibling of [`crate::engine::InMemoryExec`]. A round's domains
+/// run concurrently and the round cost is the slowest domain's compute;
+/// the fan-out *inside* each domain is part of that domain's wall time,
+/// which is the whole point.
 #[derive(Debug)]
 pub struct ShardedExec<'a> {
     nodes: &'a [ShardedNode],
@@ -542,30 +618,22 @@ impl<'a> ShardedExec<'a> {
 
 impl ServerExec for ShardedExec<'_> {
     fn round(&self, cmds: Vec<(usize, ServerCmd)>) -> Result<RoundOutcome> {
-        let mut worst = Duration::ZERO;
-        let mut replies = Vec::with_capacity(cmds.len());
-        let mut round_seq = None;
         // Dispatch attribution is computed from the command shape, not by
         // sampling the nodes' cumulative counters: a stored-column batch
         // on a k-sharded node fans out exactly k dispatches, so the delta
         // for *this* call is known locally and stays exact when other
         // queries run fan-outs on the same nodes concurrently.
-        let mut dispatches = 0u64;
-        for (s, cmd) in &cmds {
-            let node = self.nodes.get(*s).ok_or_else(|| {
-                ProtocolError::ParameterMismatch(format!("no server {s} in this deployment"))
-            })?;
-            if matches!(cmd, ServerCmd::Run(_)) && node.shards.len() > 1 {
-                dispatches += node.shards.len() as u64;
-            }
-            let t0 = Instant::now();
-            let reply = node.execute(cmd)?;
-            worst = worst.max(t0.elapsed());
-            replies.push(forward_wide(self.announcer, *s, reply, &mut round_seq)?);
-        }
+        let dispatches = cmds
+            .iter()
+            .filter(|(_, cmd)| matches!(cmd, ServerCmd::Run(_)))
+            .filter_map(|(s, _)| self.nodes.get(*s))
+            .map(|node| node.shards.len() as u64)
+            .filter(|&k| k > 1)
+            .sum();
+        let (replies, cost) = dispatch_round(self.nodes, self.announcer, &cmds)?;
         Ok(RoundOutcome {
             replies,
-            cost: worst,
+            cost,
             meters: ExecMeters {
                 shard_dispatches: dispatches,
                 ..ExecMeters::default()

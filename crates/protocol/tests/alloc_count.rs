@@ -9,12 +9,18 @@
 //! allocator pins both properties so an accidental per-row `Vec` in a
 //! kernel loop fails CI instead of silently costing throughput.
 //!
+//! A third wall counts the domain-sized allocations (at least `b·8`
+//! bytes) of one warm in-process `Cluster::psi_query_batch`: the round's
+//! servers write into buffers the caller sized, read `z` in place and
+//! hand their outputs through without copies, so the count is pinned.
+//!
 //! Everything is asserted inside one `#[test]` so no sibling test thread
 //! can allocate mid-measurement; each measurement additionally takes the
 //! minimum over several reps to shrug off any stray allocation from the
 //! harness itself.
 
 use prism_core::Prg;
+use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput, QueryBatch};
 use prism_protocol::engine::{BatchItem, BatchQuery, Column, QueryOp, ServerCmd, ServerNode};
 use prism_protocol::params::{Initiator, Setup, SystemConfig};
 use prism_protocol::psi;
@@ -25,11 +31,21 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: delegates verbatim to `System`; the counter bump has no effect
-// on allocation behavior.
+/// Allocations of at least one domain-length `u64` row (`CELLS · 8` bytes).
+static ROW_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+fn count(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if size >= CELLS * 8 {
+        ROW_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: delegates verbatim to `System`; the counter bumps have no
+// effect on allocation behavior.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -38,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,24 +62,33 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocs() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Allocation count of one call of `f`, minimized over `reps` warm calls.
-fn min_allocs_of<F: FnMut()>(reps: usize, mut f: F) -> u64 {
+/// `counter`'s count over one call of `f`, minimized over `reps` warm
+/// calls.
+fn min_count_of<F: FnMut()>(counter: &AtomicU64, reps: usize, mut f: F) -> u64 {
     f(); // warm
     let mut min = u64::MAX;
     for _ in 0..reps {
-        let before = allocs();
+        let before = counter.load(Ordering::Relaxed);
         f();
-        min = min.min(allocs() - before);
+        min = min.min(counter.load(Ordering::Relaxed) - before);
     }
     min
 }
 
+/// Allocation count of one call of `f`, minimized over `reps` warm calls.
+fn min_allocs_of<F: FnMut()>(reps: usize, f: F) -> u64 {
+    min_count_of(&ALLOCATIONS, reps, f)
+}
+
 const CELLS: usize = 1_024;
 const OWNERS: usize = 3;
+
+/// Domain-sized allocations of one warm one-shard, cache-off
+/// `psi_query_batch(sum, avg, count)`. Before the in-process servers
+/// wrote in place, the same query made 32: 14 more, for 3 cloned `z`
+/// share vectors, 3 `z` row copies into the single shard's sub-batch and
+/// 8 shard-output concatenations (2 round-1 and 6 round-2 outputs).
+const BATCH_ROW_ALLOCATIONS: u64 = 18;
 
 fn setup() -> Setup {
     Initiator::new(SystemConfig::new(OWNERS, CELLS).with_seed(77))
@@ -133,6 +158,32 @@ fn warm_hot_paths_stay_allocation_free() {
         assert!(
             count_allocs <= 8,
             "warm Count execute allocated {count_allocs} times per query"
+        );
+    }
+
+    // --- A whole batched query on the in-process cluster: a pinned count
+    // of domain-sized allocations, none of them a copy of a z share or a
+    // shard output.
+    {
+        let inputs: Vec<OwnerInput> = (0..OWNERS as u64)
+            .map(|j| {
+                OwnerInput::from_pairs(
+                    (1..=CELLS as u64)
+                        .filter(|v| v % (j + 2) != 0)
+                        .map(|v| (v, v % 90 + 1)),
+                )
+            })
+            .collect();
+        let mut cfg = ClusterConfig::new(CELLS).with_cache(false);
+        cfg.agg_domain_max = 2_000;
+        let cluster = Cluster::build(&inputs, cfg).expect("cluster");
+        let batch = QueryBatch::new().sum(0).avg(0).count_tuples();
+        let row_allocs = min_count_of(&ROW_ALLOCATIONS, 3, || {
+            cluster.psi_query_batch(&batch).expect("batch");
+        });
+        assert_eq!(
+            row_allocs, BATCH_ROW_ALLOCATIONS,
+            "a warm psi_query_batch made {row_allocs} domain-sized allocations"
         );
     }
 }

@@ -3,10 +3,16 @@
 //! round-2, max/median (announcer rounds), and the tamper matrix —
 //! returns bit-identical results and identical round counts for shard
 //! counts {1, 2, 4, 8}, while the fan-out stays observable through
-//! `QueryStats::shard_dispatches`.
+//! `QueryStats::shard_dispatches`. A malformed round fails with the
+//! error a one-after-another server loop returns and leaves the cluster
+//! answering as a fresh one.
 
 use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput, QueryBatch};
+use prism_protocol::engine::{
+    BatchItem, BatchQuery, Ctx, Operation, QueryOp, ServerCmd, ServerExec,
+};
 use prism_protocol::malicious::Tamper;
+use prism_protocol::{ProtocolError, Result};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -185,6 +191,55 @@ fn tampered_variants_fail_identically_for_every_shard_count() {
             mono.set_tamper(0, tamper);
             assert_eq!(tampered_psi, mono.psi().unwrap().0.fop);
         }
+    }
+}
+
+/// One round whose server 1 gets a `z` one cell short and whose server 2
+/// names a `z` the batch does not carry; server 0's command is
+/// well-formed.
+struct MalformedZRound;
+
+impl Operation for MalformedZRound {
+    type Output = ();
+
+    fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<()> {
+        let b = ctx.params().b;
+        let run = |z_len: usize, z: u8| {
+            ServerCmd::Run(BatchQuery {
+                zs: vec![vec![0; z_len]],
+                items: vec![BatchItem::with_z(QueryOp::Sum(0), z)],
+                threads: 1,
+                range: None,
+            })
+        };
+        ctx.round(vec![(0, run(b, 0)), (1, run(b - 1, 0)), (2, run(b, 3))])?;
+        Ok(())
+    }
+}
+
+#[test]
+fn malformed_round_fails_like_a_serial_loop_and_leaves_no_trace() {
+    let sets = fixed_sets();
+    for shards in [1usize, 2, 4] {
+        let c = build(&sets, shards, 17);
+        // The servers run concurrently, but the error is still the first
+        // failing server's in server order: server 1's short z.
+        let err = c.execute(&MalformedZRound).unwrap_err();
+        assert_eq!(
+            err,
+            ProtocolError::ParameterMismatch(format!(
+                "batch z vector 0 has {} cells, expected {DOMAIN}",
+                DOMAIN - 1
+            )),
+            "shards={shards}"
+        );
+        // Arenas and announcer state are untouched: every operation,
+        // max/median included, answers as on a fresh cluster.
+        assert_eq!(
+            surface(&c),
+            surface(&build(&sets, shards, 17)),
+            "shards={shards}"
+        );
     }
 }
 
