@@ -22,11 +22,10 @@
 //! bench-smoke` and CI publish; the smoke greps it for `"failovers": 1`
 //! and for the `"heal": "promotion"` row.
 
+use crate::netmax::{owner_inputs, upload};
 use crate::report::{print_table, secs};
-use prism_core::Prg;
-use prism_net::{AnnouncerNode, ClusterListener, Column, NetCluster, RegistryConfig, ShardWorker};
+use prism_net::{AnnouncerNode, ClusterListener, NetCluster, RegistryConfig, ShardWorker};
 use prism_protocol::params::{Initiator, Setup, SystemConfig};
-use prism_protocol::tables::{share_indicator, share_payload};
 use prism_protocol::QueryBatch;
 use std::time::{Duration, Instant};
 
@@ -80,39 +79,6 @@ fn setup(domain: u64, owners: usize, seed: u64) -> Setup {
     .unwrap()
 }
 
-/// Owner j holds cell v iff `v % (j + 2) != 0` — a dense, structured
-/// overlap with per-owner values below the blinding bound (the same
-/// workload shape as the `netmax` smoke).
-fn upload(cluster: &NetCluster, domain: u64, owners: usize, seed: u64) {
-    let op = cluster.setup().owner.clone();
-    for j in 0..owners {
-        let mut indicator = vec![0u64; domain as usize];
-        let mut sums = vec![0u64; domain as usize];
-        let mut counts = vec![0u64; domain as usize];
-        for v in 1..=domain {
-            if v % (j as u64 + 2) != 0 {
-                let cell = (v - 1) as usize;
-                indicator[cell] = 1;
-                sums[cell] = (v * 7 + j as u64) % (AGG_MAX - 1) + 1;
-                counts[cell] = 1;
-            }
-        }
-        let mut prg = Prg::from_seed(seed ^ (3_000 + j as u64));
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        let p = share_payload(&sums, &op.field, &mut prg);
-        let cnt = share_payload(&counts, &op.field, &mut prg);
-        for k in 0..3 {
-            let mut columns = Vec::new();
-            if k < 2 {
-                columns.push((Column::Ok, ind.shares[k].clone()));
-            }
-            columns.push((Column::Agg(0), p.shares[k].clone()));
-            columns.push((Column::AOk, cnt.shares[k].clone()));
-            cluster.bulk_upload(k, j, columns).expect("upload");
-        }
-    }
-}
-
 /// Run the failover experiment at one replication factor: bring up an
 /// elastic cluster (`shards × rf` workers per server domain over TCP),
 /// measure pre-kill cold/warm passes, hard-kill one worker, measure the
@@ -142,7 +108,9 @@ pub fn run(domain: u64, owners: usize, shards: usize, rf: usize, seed: u64) -> F
     let announcer = AnnouncerNode::connect(setup.announcer.clone(), addr, dial).expect("announcer");
     let mut cluster = listener.start().expect("start");
     cluster.enable_cache();
-    upload(&cluster, domain, owners, seed);
+    // The netmax relations (owner j holds cell v iff `v % (j + 2) != 0`),
+    // indicator plus aggregation and count columns.
+    upload(&cluster, &owner_inputs(domain, owners), true, seed);
 
     let batch = QueryBatch::new().sum(0).count_tuples();
     let mut rows = Vec::new();

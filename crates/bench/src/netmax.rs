@@ -12,10 +12,10 @@
 //! perf trajectory is recorded per commit alongside `BENCH_shard.json`.
 
 use crate::report::{print_table, secs};
-use prism_core::Prg;
-use prism_net::{Column, NetCluster};
+use prism_net::NetCluster;
+use prism_protocol::driver::OwnerInput;
 use prism_protocol::params::{Initiator, Setup, SystemConfig};
-use prism_protocol::tables::share_indicator;
+use prism_protocol::tables::share_owner;
 use prism_protocol::{plans, QueryStats};
 use std::time::Duration;
 
@@ -52,50 +52,58 @@ fn setup(domain: u64, owners: usize, seed: u64) -> Setup {
 
 /// Owner j holds cell v iff `v % (j + 2) != 0` — a dense, structured
 /// overlap (~20% of the domain in the 4-owner intersection) with
-/// per-owner values below the blinding bound.
-fn owner_data(domain: u64, owners: usize) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-    let mut indicators = Vec::new();
-    let mut values = Vec::new();
-    for j in 0..owners as u64 {
-        let mut ind = vec![0u64; domain as usize];
-        let mut val = vec![0u64; domain as usize];
-        for v in 1..=domain {
-            if v % (j + 2) != 0 {
-                ind[(v - 1) as usize] = 1;
-                val[(v - 1) as usize] = (v * 7 + j) % (AGG_MAX - 1) + 1;
-            }
-        }
-        indicators.push(ind);
-        values.push(val);
-    }
-    (indicators, values)
+/// per-owner values below the blinding bound, one row per held cell.
+/// The serve and failover benches use the same relations.
+pub(crate) fn owner_inputs(domain: u64, owners: usize) -> Vec<OwnerInput> {
+    (0..owners as u64)
+        .map(|j| {
+            OwnerInput::from_pairs(
+                (1..=domain)
+                    .filter(|v| v % (j + 2) != 0)
+                    .map(|v| (v, (v * 7 + j) % (AGG_MAX - 1) + 1)),
+            )
+        })
+        .collect()
 }
 
-fn upload(cluster: &NetCluster, indicators: &[Vec<u64>], seed: u64) {
+/// Phase 1 over the wire without verification columns: share each
+/// owner's relation (aggregation columns when `with_aggregation`) and
+/// bulk-upload it, one message per server that gets columns. Returns
+/// each owner's per-cell maxima — with one row per cell also its sums.
+pub(crate) fn upload(
+    cluster: &NetCluster,
+    inputs: &[OwnerInput],
+    with_aggregation: bool,
+    seed: u64,
+) -> Vec<Vec<u64>> {
     let op = &cluster.setup().owner;
-    for (j, indicator) in indicators.iter().enumerate() {
-        let mut prg = Prg::from_seed(seed ^ (3_000 + j as u64));
-        let ind = share_indicator(indicator, op.delta, &mut prg);
-        for k in 0..2 {
-            cluster
-                .bulk_upload(k, j, vec![(Column::Ok, ind.shares[k].clone())])
-                .expect("upload");
+    let mut maxima = Vec::with_capacity(inputs.len());
+    for (j, input) in inputs.iter().enumerate() {
+        let seed = seed ^ (3_000 + j as u64);
+        let shares =
+            share_owner(op, input, 0..op.b, false, with_aggregation, 1, seed).expect("share");
+        for (k, columns) in shares.columns.into_iter().enumerate() {
+            if !columns.is_empty() {
+                cluster.bulk_upload(k, j, columns).expect("upload");
+            }
         }
+        maxima.extend(shares.maxima);
     }
+    maxima
 }
 
 /// Run max + median on both transports; best-of-`reps` timings.
 pub fn run(domain: u64, owners: usize, reps: usize, seed: u64) -> Vec<NetMaxRow> {
     let reps = reps.max(1);
-    let (indicators, values) = owner_data(domain, owners);
-    let refs: Vec<&[u64]> = values.iter().map(Vec::as_slice).collect();
+    let inputs = owner_inputs(domain, owners);
     let mut rows = Vec::new();
     for transport in ["channel", "tcp"] {
         let cluster = match transport {
             "channel" => NetCluster::start_local(setup(domain, owners, seed)),
             _ => NetCluster::start_tcp(setup(domain, owners, seed)).expect("tcp cluster"),
         };
-        upload(&cluster, &indicators, seed);
+        let values = upload(&cluster, &inputs, false, seed);
+        let refs: Vec<&[u64]> = values.iter().map(Vec::as_slice).collect();
         let max_plan = plans::Max {
             values: refs.clone(),
             table: None,

@@ -1755,6 +1755,19 @@ impl NetCluster {
         owner: u32,
         plan: &P,
     ) -> Result<(P::Output, QueryStats), ClusterError> {
+        self.run_as(owner, plan, None)
+    }
+
+    /// The one exec stack every query runs on: an admission slot for
+    /// `owner`, a freshly tagged [`QueryView`], the PSI-round cache
+    /// decorator when enabled, and the engine — scoped to the global row
+    /// window `(start, len)` when one is given.
+    fn run_as<P: Operation>(
+        &self,
+        owner: u32,
+        plan: &P,
+        range: Option<(u64, u64)>,
+    ) -> Result<(P::Output, QueryStats), ClusterError> {
         let _permit = self.admission.acquire(owner);
         let view = QueryView {
             net: self,
@@ -1765,10 +1778,12 @@ impl NetCluster {
             Some(c) => c,
             None => &view,
         };
-        Engine::new(&exec, &self.setup.owner)
-            .with_threads(self.threads as usize)
-            .run(plan)
-            .map_err(ClusterError::Protocol)
+        let engine = Engine::new(&exec, &self.setup.owner).with_threads(self.threads as usize);
+        match range {
+            Some((start, len)) => engine.with_range(start, len).run(plan),
+            None => engine.run(plan),
+        }
+        .map_err(ClusterError::Protocol)
     }
 
     /// PSI over the uploaded OK columns.
@@ -1818,10 +1833,6 @@ impl NetCluster {
         Ok(self.execute(&plans::Average { attr, seed })?.0)
     }
 
-    /// Cells per max/median pipeline chunk (mirrors the in-memory
-    /// driver's bound, so round counts and results match it exactly).
-    const CELL_CHUNK: usize = 1 << 16;
-
     /// PSI maximum (§6.3, all three rounds, announcer node included) with
     /// built-in verification. `values[j]` is owner j's per-cell maxima
     /// column — owner-side data that never left the owners, so the caller
@@ -1835,7 +1846,7 @@ impl NetCluster {
             values: values.to_vec(),
             table: None,
             seed,
-            cell_chunk: Self::CELL_CHUNK,
+            cell_chunk: plans::DEFAULT_CELL_CHUNK,
         };
         Ok(self.execute(&plan)?.0)
     }
@@ -1852,7 +1863,7 @@ impl NetCluster {
             values: values.to_vec(),
             table: None,
             seed,
-            cell_chunk: Self::CELL_CHUNK,
+            cell_chunk: plans::DEFAULT_CELL_CHUNK,
         };
         Ok(self.execute(&plan)?.0)
     }
@@ -1878,21 +1889,7 @@ impl NetCluster {
         seed: u64,
         range: (u64, u64),
     ) -> Result<(Vec<plans::AggResult>, QueryStats), ClusterError> {
-        let _permit = self.admission.acquire(0);
-        let view = QueryView {
-            net: self,
-            id: self.fresh_query_id(),
-        };
-        let cached = self.cache.as_deref().map(|c| CachedExec::new(&view, c));
-        let exec: &dyn ServerExec = match &cached {
-            Some(c) => c,
-            None => &view,
-        };
-        Engine::new(&exec, &self.setup.owner)
-            .with_threads(self.threads as usize)
-            .with_range(range.0, range.1)
-            .run(&plans::Batch { batch, seed })
-            .map_err(ClusterError::Protocol)
+        self.run_as(0, &plans::Batch { batch, seed }, Some(range))
     }
 
     /// Snapshot of bytes/messages sent in each direction, including the

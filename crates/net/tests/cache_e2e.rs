@@ -8,10 +8,10 @@
 //! — and any owner upload in between must restore the cold-path round
 //! count bit-identically.
 
-use prism_core::Prg;
-use prism_net::{Column, NetCluster};
+use prism_net::NetCluster;
+use prism_protocol::driver::OwnerInput;
 use prism_protocol::params::{Initiator, Setup, SystemConfig};
-use prism_protocol::tables::{share_indicator, share_payload};
+use prism_protocol::tables::share_owner;
 use prism_protocol::QueryBatch;
 
 const DOMAIN: usize = 10;
@@ -30,30 +30,21 @@ fn make_setup() -> Setup {
         .unwrap()
 }
 
-/// Bulk-upload owner `j`'s full column set (share randomness from
+/// Bulk-upload owner `j`'s unverified column set (share randomness from
 /// `seed`, so re-uploading with the same seed reproduces the store).
 fn upload_owner(cluster: &NetCluster, j: usize, owner_rows: &[(u64, u64)], seed: u64) {
-    let op = cluster.setup().owner.clone();
-    let mut indicator = vec![0u64; DOMAIN];
-    let mut sums = vec![0u64; DOMAIN];
-    let mut counts = vec![0u64; DOMAIN];
-    for &(c, x) in owner_rows {
-        let cell = (c - 1) as usize;
-        indicator[cell] = 1;
-        sums[cell] += x;
-        counts[cell] += 1;
-    }
-    let mut prg = Prg::from_seed(seed ^ (3000 + j as u64));
-    let ind = share_indicator(&indicator, op.delta, &mut prg);
-    let p = share_payload(&sums, &op.field, &mut prg);
-    let cnt = share_payload(&counts, &op.field, &mut prg);
-    for k in 0..3 {
-        let mut columns = Vec::new();
-        if k < 2 {
-            columns.push((Column::Ok, ind.shares[k].clone()));
-        }
-        columns.push((Column::Agg(0), p.shares[k].clone()));
-        columns.push((Column::AOk, cnt.shares[k].clone()));
+    let op = &cluster.setup().owner;
+    let input = OwnerInput::from_pairs(owner_rows.iter().copied());
+    let shares = share_owner(
+        op,
+        &input,
+        0..op.b,
+        false,
+        true,
+        1,
+        seed ^ (3000 + j as u64),
+    );
+    for (k, columns) in shares.unwrap().columns.into_iter().enumerate() {
         cluster.bulk_upload(k, j, columns).unwrap();
     }
 }
@@ -154,50 +145,23 @@ fn delta_upload_keeps_untouched_window_warm_over_the_wire() {
     assert_eq!((s.rounds, s.cache_misses), (2, 2));
 
     // Grow by two cells; every owner's delta rows land in 11..=12 only.
-    // The delta share columns are built once, so both clusters store
-    // identical bytes.
+    // Both clusters share each owner's delta from the same seed, so they
+    // store identical bytes.
     let added = 2usize;
     let grown = cluster.setup().grow(added, 1, 91).unwrap();
     let delta_rows: Vec<Vec<(u64, u64)>> =
         vec![vec![(11, 40)], vec![(11, 10), (12, 5)], vec![(11, 60)]];
-    let op = grown.owner.clone();
-    // owner → server → delta column set.
-    type DeltaColumns = Vec<(Column, Vec<u64>)>;
-    let mut per_owner: Vec<Vec<DeltaColumns>> = Vec::new();
-    for (j, rows) in delta_rows.iter().enumerate() {
-        let mut indicator = vec![0u64; added];
-        let mut sums = vec![0u64; added];
-        let mut counts = vec![0u64; added];
-        for &(c, x) in rows {
-            let i = (c - 1) as usize - DOMAIN;
-            indicator[i] = 1;
-            sums[i] += x;
-            counts[i] += 1;
-        }
-        let mut prg = Prg::from_seed(91 ^ (7700 + j as u64));
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        let p = share_payload(&sums, &op.field, &mut prg);
-        let cnt = share_payload(&counts, &op.field, &mut prg);
-        per_owner.push(
-            (0..3)
-                .map(|k| {
-                    let mut columns = Vec::new();
-                    if k < 2 {
-                        columns.push((Column::Ok, ind.shares[k].clone()));
-                    }
-                    columns.push((Column::Agg(0), p.shares[k].clone()));
-                    columns.push((Column::AOk, cnt.shares[k].clone()));
-                    columns
-                })
-                .collect(),
-        );
-    }
     cluster.adopt_setup(grown.clone());
     oracle.adopt_setup(grown);
-    for (j, per_server) in per_owner.iter().enumerate() {
-        for (k, cols) in per_server.iter().enumerate() {
-            cluster.delta_upload(k, j, DOMAIN, cols.clone()).unwrap();
-            oracle.delta_upload(k, j, DOMAIN, cols.clone()).unwrap();
+    for c in [&cluster, &oracle] {
+        for (j, rows) in delta_rows.iter().enumerate() {
+            let input = OwnerInput::from_pairs(rows.iter().copied());
+            let window = DOMAIN..DOMAIN + added;
+            let op = &c.setup().owner;
+            let shares = share_owner(op, &input, window, false, true, 1, 91 ^ (7700 + j as u64));
+            for (k, columns) in shares.unwrap().columns.into_iter().enumerate() {
+                c.delta_upload(k, j, DOMAIN, columns).unwrap();
+            }
         }
     }
 

@@ -2,73 +2,29 @@
 //! owners uploading shares through the wire and queries running on server
 //! threads.
 
-use prism_core::Prg;
-use prism_net::{Column, NetCluster};
+use prism_net::NetCluster;
+use prism_protocol::driver::OwnerInput;
 use prism_protocol::params::{Initiator, Setup, SystemConfig};
-use prism_protocol::tables::{share_indicator, share_payload};
+use prism_protocol::tables::share_owner;
 
-/// Three owners over a 10-cell domain with one aggregation attribute.
-fn setup_and_upload(cluster: &NetCluster, rows: &[Vec<(u64, u64)>]) {
+/// Outsource every owner's full column set (one bulk upload per server)
+/// and return the owner-side per-cell maxima and sums of attribute 0.
+fn setup_and_upload(
+    cluster: &NetCluster,
+    rows: &[Vec<(u64, u64)>],
+) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
     let op = &cluster.setup().owner;
+    let (mut maxima, mut sums) = (Vec::new(), Vec::new());
     for (j, owner_rows) in rows.iter().enumerate() {
-        let b = op.b;
-        let mut indicator = vec![0u64; b];
-        let mut sums = vec![0u64; b];
-        let mut counts = vec![0u64; b];
-        for &(c, x) in owner_rows {
-            let cell = (c - 1) as usize;
-            indicator[cell] = 1;
-            sums[cell] += x;
-            counts[cell] += 1;
+        let input = OwnerInput::from_pairs(owner_rows.iter().copied());
+        let shares = share_owner(op, &input, 0..op.b, true, true, 1, 1000 + j as u64).unwrap();
+        for (k, columns) in shares.columns.into_iter().enumerate() {
+            cluster.bulk_upload(k, j, columns).unwrap();
         }
-        let mut prg = Prg::from_seed(1000 + j as u64);
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        cluster
-            .upload(0, j, Column::Ok, ind.shares[0].clone())
-            .unwrap();
-        cluster
-            .upload(1, j, Column::Ok, ind.shares[1].clone())
-            .unwrap();
-
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let v = share_indicator(&op.pf_db1.apply(&complement), op.delta, &mut prg);
-        cluster
-            .upload(0, j, Column::VOk, v.shares[0].clone())
-            .unwrap();
-        cluster
-            .upload(1, j, Column::VOk, v.shares[1].clone())
-            .unwrap();
-
-        let c1 = share_indicator(&op.pf_db1.apply(&indicator), op.delta, &mut prg);
-        let c2 = share_indicator(&op.pf_db2.apply(&indicator), op.delta, &mut prg);
-        cluster
-            .upload(0, j, Column::OkDb1, c1.shares[0].clone())
-            .unwrap();
-        cluster
-            .upload(1, j, Column::OkDb1, c1.shares[1].clone())
-            .unwrap();
-        cluster
-            .upload(0, j, Column::OkDb2, c2.shares[0].clone())
-            .unwrap();
-        cluster
-            .upload(1, j, Column::OkDb2, c2.shares[1].clone())
-            .unwrap();
-
-        let p = share_payload(&sums, &op.field, &mut prg);
-        let vp = share_payload(&op.pf_db1.apply(&sums), &op.field, &mut prg);
-        let cnt = share_payload(&counts, &op.field, &mut prg);
-        for k in 0..3 {
-            cluster
-                .upload(k, j, Column::Agg(0), p.shares[k].clone())
-                .unwrap();
-            cluster
-                .upload(k, j, Column::VAgg(0), vp.shares[k].clone())
-                .unwrap();
-            cluster
-                .upload(k, j, Column::AOk, cnt.shares[k].clone())
-                .unwrap();
-        }
+        maxima.extend(shares.maxima);
+        sums.extend(shares.sums);
     }
+    (maxima, sums)
 }
 
 fn rows() -> Vec<Vec<(u64, u64)>> {
@@ -86,7 +42,7 @@ fn make_setup() -> Setup {
 }
 
 fn exercise(cluster: &NetCluster) {
-    setup_and_upload(cluster, &rows());
+    let (maxima, owner_sums) = setup_and_upload(cluster, &rows());
 
     // PSI: common values {1, 7}.
     let fop = cluster.psi().unwrap();
@@ -132,7 +88,6 @@ fn exercise(cluster: &NetCluster) {
 
     // Max/median: the announcer runs as a fourth networked node. Per-cell
     // maxima/sums are owner-side data the harness supplies.
-    let (maxima, sums) = owner_values(&rows(), cluster.setup().owner.b);
     let max_refs: Vec<&[u64]> = maxima.iter().map(Vec::as_slice).collect();
     let (maxes, holders) = cluster.psi_max(&max_refs, 50).unwrap();
     // Cell 1: maxima 200/100/700 → 700 at owner 2; cell 7: 10/20/30 → 30.
@@ -142,7 +97,7 @@ fn exercise(cluster: &NetCluster) {
     );
     assert_eq!(holders[0], vec![false, false, true]);
     assert_eq!(holders[1], vec![false, false, true]);
-    let sum_refs: Vec<&[u64]> = sums.iter().map(Vec::as_slice).collect();
+    let sum_refs: Vec<&[u64]> = owner_sums.iter().map(Vec::as_slice).collect();
     let medians = cluster.psi_median(&sum_refs, 51).unwrap();
     // Cell 1 sums: 300/100/1000 → middle 300 (owner 0); cell 7: 10/20/30
     // → middle 20 (owner 1).
@@ -167,24 +122,6 @@ fn exercise(cluster: &NetCluster) {
     assert!(report.announcer_bytes() > 0);
     let rendered = format!("{report}");
     assert!(rendered.contains("announcer"));
-}
-
-/// Per-owner per-cell maxima and sums over aggregation attribute 0.
-fn owner_values(rows: &[Vec<(u64, u64)>], b: usize) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-    let mut maxima = Vec::new();
-    let mut sums = Vec::new();
-    for owner_rows in rows {
-        let mut mx = vec![0u64; b];
-        let mut sm = vec![0u64; b];
-        for &(c, x) in owner_rows {
-            let cell = (c - 1) as usize;
-            mx[cell] = mx[cell].max(x);
-            sm[cell] += x;
-        }
-        maxima.push(mx);
-        sums.push(sm);
-    }
-    (maxima, sums)
 }
 
 #[test]
@@ -277,8 +214,7 @@ fn announcer_round_accounting_over_the_wire() {
     use prism_protocol::plans;
 
     let cluster = NetCluster::start_local(make_setup());
-    setup_and_upload(&cluster, &rows());
-    let (maxima, sums) = owner_values(&rows(), cluster.setup().owner.b);
+    let (maxima, sums) = setup_and_upload(&cluster, &rows());
 
     // Max: 3 rounds (PSI, combine, claims); exactly one announce request
     // and exactly one wide upload per additive server cross the announcer
@@ -329,7 +265,7 @@ fn aborted_wide_round_does_not_poison_later_queries() {
     // and reports the zero receipt. The engine aborts the query before
     // any announce — exactly the shape of a mid-query failure.
     let cluster = NetCluster::start_local(make_setup());
-    setup_and_upload(&cluster, &rows());
+    let (maxima, _) = setup_and_upload(&cluster, &rows());
     let op = cluster.setup().owner.clone();
     let uploads = |n: usize| -> Vec<BlindedMaxUpload> {
         (0..n)
@@ -362,7 +298,6 @@ fn aborted_wide_round_does_not_poison_later_queries() {
     // Round B: a full max query on the same cluster. The announcer must
     // pair only round-B uploads — the sequence numbers let it discard
     // server 0's stale round-A matrix instead of crossing rounds.
-    let (maxima, _) = owner_values(&rows(), op.b);
     let max_refs: Vec<&[u64]> = maxima.iter().map(Vec::as_slice).collect();
     let (maxes, holders) = cluster.psi_max(&max_refs, 50).unwrap();
     assert_eq!(

@@ -7,13 +7,13 @@
 //! domains stay warm), and a query in flight against the dying node
 //! errors loudly — it never hangs and never returns a wrong answer.
 
-use prism_core::Prg;
 use prism_net::{
     AnnouncerNode, ClusterListener, Column, Liveness, NetCluster, RegistryConfig, ShardWorker,
 };
+use prism_protocol::driver::OwnerInput;
 use prism_protocol::params::{Initiator, Setup, SystemConfig};
 use prism_protocol::plans::QueryBatch;
-use prism_protocol::tables::{share_indicator, share_payload};
+use prism_protocol::tables::share_owner;
 use std::time::{Duration, Instant};
 
 const DOMAIN: usize = 10;
@@ -35,42 +35,19 @@ fn rows() -> Vec<Vec<(u64, u64)>> {
 
 /// Full column set per owner (verified copies included), deterministic
 /// shares so the elastic cluster and the oracle hold identical stores.
-fn setup_and_upload(cluster: &NetCluster, rows: &[Vec<(u64, u64)>]) {
-    let op = cluster.setup().owner.clone();
+/// Returns the owner-side per-cell maxima the max query needs.
+fn setup_and_upload(cluster: &NetCluster, rows: &[Vec<(u64, u64)>]) -> Vec<Vec<u64>> {
+    let op = &cluster.setup().owner;
+    let mut maxima = Vec::new();
     for (j, owner_rows) in rows.iter().enumerate() {
-        let b = op.b;
-        let mut indicator = vec![0u64; b];
-        let mut sums = vec![0u64; b];
-        let mut counts = vec![0u64; b];
-        for &(c, x) in owner_rows {
-            let cell = (c - 1) as usize;
-            indicator[cell] = 1;
-            sums[cell] += x;
-            counts[cell] += 1;
-        }
-        let mut prg = Prg::from_seed(1000 + j as u64);
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let v = share_indicator(&op.pf_db1.apply(&complement), op.delta, &mut prg);
-        let c1 = share_indicator(&op.pf_db1.apply(&indicator), op.delta, &mut prg);
-        let c2 = share_indicator(&op.pf_db2.apply(&indicator), op.delta, &mut prg);
-        let p = share_payload(&sums, &op.field, &mut prg);
-        let vp = share_payload(&op.pf_db1.apply(&sums), &op.field, &mut prg);
-        let cnt = share_payload(&counts, &op.field, &mut prg);
-        for k in 0..3 {
-            let mut columns = Vec::new();
-            if k < 2 {
-                columns.push((Column::Ok, ind.shares[k].clone()));
-                columns.push((Column::VOk, v.shares[k].clone()));
-                columns.push((Column::OkDb1, c1.shares[k].clone()));
-                columns.push((Column::OkDb2, c2.shares[k].clone()));
-            }
-            columns.push((Column::Agg(0), p.shares[k].clone()));
-            columns.push((Column::VAgg(0), vp.shares[k].clone()));
-            columns.push((Column::AOk, cnt.shares[k].clone()));
+        let input = OwnerInput::from_pairs(owner_rows.iter().copied());
+        let shares = share_owner(op, &input, 0..op.b, true, true, 1, 1000 + j as u64).unwrap();
+        for (k, columns) in shares.columns.into_iter().enumerate() {
             cluster.bulk_upload(k, j, columns).unwrap();
         }
+        maxima.extend(shares.maxima);
     }
+    maxima
 }
 
 /// Fast probing, generous timeouts: a killed worker is confirmed via
@@ -155,20 +132,6 @@ fn suite(c: &NetCluster) -> (Vec<u64>, Vec<bool>, usize, Vec<u64>, String) {
     )
 }
 
-/// Per-owner per-cell maxima columns for the max query.
-fn maxima(rows: &[Vec<(u64, u64)>]) -> Vec<Vec<u64>> {
-    rows.iter()
-        .map(|owner_rows| {
-            let mut m = vec![0u64; DOMAIN];
-            for &(c, x) in owner_rows {
-                let cell = (c - 1) as usize;
-                m[cell] = m[cell].max(x);
-            }
-            m
-        })
-        .collect()
-}
-
 #[test]
 fn failover_heals_reshards_and_matches_the_oracle() {
     let setup = make_setup();
@@ -176,9 +139,8 @@ fn failover_heals_reshards_and_matches_the_oracle() {
     // Never-failed oracle: the statically wired local cluster over an
     // identical store.
     let oracle_cluster = NetCluster::start_local(make_setup());
-    setup_and_upload(&oracle_cluster, &rows());
+    let m = setup_and_upload(&oracle_cluster, &rows());
     let oracle = suite(&oracle_cluster);
-    let m = maxima(&rows());
     let m_refs: Vec<&[u64]> = m.iter().map(Vec::as_slice).collect();
     let oracle_max = format!("{:?}", oracle_cluster.psi_max(&m_refs, 60).unwrap());
     oracle_cluster.shutdown().unwrap();
@@ -467,9 +429,8 @@ fn last_worker_death_holds_the_domain_down_until_a_replacement() {
 fn announcer_reconnects_and_wide_rounds_resume() {
     let setup = make_setup();
     let (cluster, workers, announcer) = spawn_elastic(setup.clone(), fast_cfg());
-    setup_and_upload(&cluster, &rows());
+    let m = setup_and_upload(&cluster, &rows());
     let oracle = suite(&cluster);
-    let m = maxima(&rows());
     let m_refs: Vec<&[u64]> = m.iter().map(Vec::as_slice).collect();
     let oracle_max = format!("{:?}", cluster.psi_max(&m_refs, 60).unwrap());
     let registry = cluster.registry().unwrap();

@@ -14,14 +14,13 @@
 //! stale), and no query may receive another query's reply (never
 //! cross-paired — any crossing would corrupt at least one result).
 
-use prism_core::Prg;
-use prism_net::{Column, NetCluster};
+use prism_net::NetCluster;
 use prism_protocol::driver::{Cluster, OwnerInput};
 use prism_protocol::engine::{QueryStats, ServerExec};
 use prism_protocol::malicious::Tamper;
 use prism_protocol::params::{Initiator, Setup, SystemConfig};
 use prism_protocol::plans::{self, QueryBatch};
-use prism_protocol::tables::{share_indicator, share_payload};
+use prism_protocol::tables::share_owner;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -45,73 +44,22 @@ fn rows() -> Vec<Vec<(u64, u64)>> {
 }
 
 /// Share and upload one owner's relation (every column the full query
-/// mix needs), overwriting whatever the owner stored before — the wire
-/// mirror of the driver's `update_owner`.
-fn upload_owner(cluster: &NetCluster, j: usize, owner_rows: &[(u64, u64)], prg_seed: u64) {
+/// mix needs, one bulk upload per server), overwriting whatever the owner
+/// stored before — the wire mirror of the driver's `update_owner`.
+/// Returns the owner-side per-cell maxima and sums (attribute 0).
+fn upload_owner(
+    cluster: &NetCluster,
+    j: usize,
+    owner_rows: &[(u64, u64)],
+    prg_seed: u64,
+) -> (Vec<u64>, Vec<u64>) {
     let op = &cluster.setup().owner;
-    let b = op.b;
-    let mut indicator = vec![0u64; b];
-    let mut sums = vec![0u64; b];
-    let mut counts = vec![0u64; b];
-    for &(c, x) in owner_rows {
-        let cell = (c - 1) as usize;
-        indicator[cell] = 1;
-        sums[cell] += x;
-        counts[cell] += 1;
+    let input = OwnerInput::from_pairs(owner_rows.iter().copied());
+    let mut shares = share_owner(op, &input, 0..op.b, true, true, 1, prg_seed).unwrap();
+    for (k, columns) in shares.columns.drain(..).enumerate() {
+        cluster.bulk_upload(k, j, columns).unwrap();
     }
-    let mut prg = Prg::from_seed(prg_seed);
-    let ind = share_indicator(&indicator, op.delta, &mut prg);
-    cluster
-        .upload(0, j, Column::Ok, ind.shares[0].clone())
-        .unwrap();
-    cluster
-        .upload(1, j, Column::Ok, ind.shares[1].clone())
-        .unwrap();
-
-    let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-    let v = share_indicator(&op.pf_db1.apply(&complement), op.delta, &mut prg);
-    cluster
-        .upload(0, j, Column::VOk, v.shares[0].clone())
-        .unwrap();
-    cluster
-        .upload(1, j, Column::VOk, v.shares[1].clone())
-        .unwrap();
-
-    let c1 = share_indicator(&op.pf_db1.apply(&indicator), op.delta, &mut prg);
-    let c2 = share_indicator(&op.pf_db2.apply(&indicator), op.delta, &mut prg);
-    cluster
-        .upload(0, j, Column::OkDb1, c1.shares[0].clone())
-        .unwrap();
-    cluster
-        .upload(1, j, Column::OkDb1, c1.shares[1].clone())
-        .unwrap();
-    cluster
-        .upload(0, j, Column::OkDb2, c2.shares[0].clone())
-        .unwrap();
-    cluster
-        .upload(1, j, Column::OkDb2, c2.shares[1].clone())
-        .unwrap();
-
-    let p = share_payload(&sums, &op.field, &mut prg);
-    let vp = share_payload(&op.pf_db1.apply(&sums), &op.field, &mut prg);
-    let cnt = share_payload(&counts, &op.field, &mut prg);
-    for k in 0..3 {
-        cluster
-            .upload(k, j, Column::Agg(0), p.shares[k].clone())
-            .unwrap();
-        cluster
-            .upload(k, j, Column::VAgg(0), vp.shares[k].clone())
-            .unwrap();
-        cluster
-            .upload(k, j, Column::AOk, cnt.shares[k].clone())
-            .unwrap();
-    }
-}
-
-fn setup_and_upload(cluster: &NetCluster, rows: &[Vec<(u64, u64)>]) {
-    for (j, owner_rows) in rows.iter().enumerate() {
-        upload_owner(cluster, j, owner_rows, 1000 + j as u64);
-    }
+    (shares.maxima.remove(0), shares.sums.remove(0))
 }
 
 /// Owner-side per-cell maxima and sums (attribute 0) that the max and
@@ -121,20 +69,12 @@ struct OwnerVals {
     sums: Vec<Vec<u64>>,
 }
 
-fn owner_vals() -> OwnerVals {
-    let mut maxima = Vec::new();
-    let mut sums = Vec::new();
-    for owner_rows in rows() {
-        let mut mx = vec![0u64; DOMAIN];
-        let mut sm = vec![0u64; DOMAIN];
-        for &(c, x) in &owner_rows {
-            let cell = (c - 1) as usize;
-            mx[cell] = mx[cell].max(x);
-            sm[cell] += x;
-        }
-        maxima.push(mx);
-        sums.push(sm);
-    }
+fn setup_and_upload(cluster: &NetCluster, rows: &[Vec<(u64, u64)>]) -> OwnerVals {
+    let (maxima, sums) = rows
+        .iter()
+        .enumerate()
+        .map(|(j, owner_rows)| upload_owner(cluster, j, owner_rows, 1000 + j as u64))
+        .unzip();
     OwnerVals { maxima, sums }
 }
 
@@ -274,8 +214,7 @@ fn conformance(mut cluster: NetCluster, cache_on: bool) {
     if cache_on {
         cluster.enable_cache();
     }
-    setup_and_upload(&cluster, &rows());
-    let vals = owner_vals();
+    let vals = setup_and_upload(&cluster, &rows());
 
     // With the cache on, warm it first: two concurrent *cold* identical
     // queries legitimately both miss, so the deterministic comparison is
@@ -416,8 +355,7 @@ fn tcp_sharded_cached_interleaved_matches_serial() {
 fn small_admission_window_still_serves_every_query() {
     let mut cluster = NetCluster::start_local(make_setup());
     cluster.set_admission_window(2);
-    setup_and_upload(&cluster, &rows());
-    let vals = owner_vals();
+    let vals = setup_and_upload(&cluster, &rows());
     let reference = run_query(&cluster, 0, Q::Psi, &vals).unwrap().0;
     std::thread::scope(|s| {
         for i in 0..6u32 {
@@ -444,8 +382,7 @@ fn aborted_query_interleaved_with_honest_ones_does_not_poison_links() {
     use prism_protocol::max::BlindedMaxUpload;
 
     let cluster = NetCluster::start_local(make_setup());
-    setup_and_upload(&cluster, &rows());
-    let vals = owner_vals();
+    let vals = setup_and_upload(&cluster, &rows());
     let reference = run_query(&cluster, 0, Q::Psi, &vals).unwrap().0;
 
     // One stream issues a doomed wide round (server 1 gets the wrong

@@ -4,11 +4,11 @@
 //! per owner per server; per-shard traffic is metered; and the tamper
 //! matrix behaves identically whatever the shard count.
 
-use prism_core::Prg;
-use prism_net::{Column, NetCluster};
+use prism_net::NetCluster;
+use prism_protocol::driver::OwnerInput;
 use prism_protocol::malicious::Tamper;
 use prism_protocol::params::{Initiator, Setup, SystemConfig};
-use prism_protocol::tables::{share_indicator, share_payload};
+use prism_protocol::tables::{share_owner, OwnerShares};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -20,49 +20,16 @@ fn make_setup(seed: u64) -> Setup {
         .unwrap()
 }
 
-/// Build one owner's full per-server column sets from their rows.
-fn owner_columns(setup: &Setup, owner: usize, rows: &[(u64, u64)]) -> Vec<Vec<(Column, Vec<u64>)>> {
+/// Share one owner's full per-server column sets from their rows.
+fn owner_shares(setup: &Setup, owner: usize, rows: &[(u64, u64)]) -> OwnerShares {
     let op = &setup.owner;
-    let b = op.b;
-    let mut indicator = vec![0u64; b];
-    let mut sums = vec![0u64; b];
-    let mut counts = vec![0u64; b];
-    for &(c, x) in rows {
-        let cell = (c - 1) as usize;
-        indicator[cell] = 1;
-        sums[cell] += x;
-        counts[cell] += 1;
-    }
-    let mut prg = Prg::from_seed(4000 + owner as u64);
-    let ind = share_indicator(&indicator, op.delta, &mut prg);
-    let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-    let v = share_indicator(&op.pf_db1.apply(&complement), op.delta, &mut prg);
-    let c1 = share_indicator(&op.pf_db1.apply(&indicator), op.delta, &mut prg);
-    let c2 = share_indicator(&op.pf_db2.apply(&indicator), op.delta, &mut prg);
-    let p = share_payload(&sums, &op.field, &mut prg);
-    let vp = share_payload(&op.pf_db1.apply(&sums), &op.field, &mut prg);
-    let cnt = share_payload(&counts, &op.field, &mut prg);
-
-    (0..3)
-        .map(|k| {
-            let mut cols = Vec::new();
-            if k < 2 {
-                cols.push((Column::Ok, ind.shares[k].clone()));
-                cols.push((Column::VOk, v.shares[k].clone()));
-                cols.push((Column::OkDb1, c1.shares[k].clone()));
-                cols.push((Column::OkDb2, c2.shares[k].clone()));
-            }
-            cols.push((Column::Agg(0), p.shares[k].clone()));
-            cols.push((Column::VAgg(0), vp.shares[k].clone()));
-            cols.push((Column::AOk, cnt.shares[k].clone()));
-            cols
-        })
-        .collect()
+    let input = OwnerInput::from_pairs(rows.iter().copied());
+    share_owner(op, &input, 0..op.b, true, true, 1, 4000 + owner as u64).unwrap()
 }
 
 fn upload_all(cluster: &NetCluster, rows: &[Vec<(u64, u64)>]) {
     for (j, owner_rows) in rows.iter().enumerate() {
-        let per_server = owner_columns(cluster.setup(), j, owner_rows);
+        let per_server = owner_shares(cluster.setup(), j, owner_rows).columns;
         for (k, cols) in per_server.into_iter().enumerate() {
             cluster.bulk_upload(k, j, cols).unwrap();
         }
@@ -268,9 +235,9 @@ fn bulk_upload_cuts_phase1_to_one_round_trip_per_owner() {
     // owner at an additive server.
     let per_column_msgs = {
         let c = NetCluster::start_local(make_setup(82));
-        let cols = owner_columns(c.setup(), 0, &rows()[0]);
+        let mut cols = owner_shares(c.setup(), 0, &rows()[0]).columns;
         let before = c.report().owner_to_server(0).1;
-        for (col, data) in cols[0].clone() {
+        for (col, data) in cols.swap_remove(0) {
             c.upload(0, 0, col, data).unwrap();
         }
         let sent = c.report().owner_to_server(0).1 - before;
@@ -280,9 +247,9 @@ fn bulk_upload_cuts_phase1_to_one_round_trip_per_owner() {
     // Bulk Phase 1: one message.
     let bulk_msgs = {
         let c = NetCluster::start_local(make_setup(82));
-        let cols = owner_columns(c.setup(), 0, &rows()[0]);
+        let mut cols = owner_shares(c.setup(), 0, &rows()[0]).columns;
         let before = c.report().owner_to_server(0).1;
-        c.bulk_upload(0, 0, cols[0].clone()).unwrap();
+        c.bulk_upload(0, 0, cols.swap_remove(0)).unwrap();
         let sent = c.report().owner_to_server(0).1 - before;
         c.shutdown().unwrap();
         sent
@@ -303,7 +270,7 @@ fn bulk_and_per_column_uploads_store_identically() {
     let per_column = {
         let c = NetCluster::start_local_sharded(make_setup(83), 2);
         for (j, owner_rows) in rows().iter().enumerate() {
-            let per_server = owner_columns(c.setup(), j, owner_rows);
+            let per_server = owner_shares(c.setup(), j, owner_rows).columns;
             for (k, cols) in per_server.into_iter().enumerate() {
                 for (col, data) in cols {
                     c.upload(k, j, col, data).unwrap();

@@ -12,6 +12,12 @@
 //! verification paths, and [`Cluster::execute`] runs custom
 //! [`Operation`]s for queries this facade does not name.
 //!
+//! Owners outsource through [`crate::tables::share_owner`] — Phase 1
+//! ([`Cluster::build`]), full re-uploads ([`Cluster::update_owner`]) and
+//! delta uploads ([`Cluster::append`]) alike — so the cluster stores
+//! exactly the columns, in exactly the draw order, that the networked
+//! harnesses upload.
+//!
 //! This is the crate's primary public API: examples, integration tests and
 //! the benchmark harness all drive queries through it.
 
@@ -22,39 +28,15 @@ use crate::error::{ProtocolError, Result};
 use crate::malicious::{AnnouncerTamper, Tamper};
 use crate::max::MaxCell;
 use crate::median::MedianCell;
-use crate::params::OwnerParams;
 use crate::params::{Initiator, Setup, SystemConfig};
 use crate::plans;
 use crate::shard::{ShardedExec, ShardedNode};
-use crate::tables::{share_indicator, share_payload};
-use prism_core::{Permutation, Prg};
+use crate::tables::{share_owner, OwnerShares};
+use prism_core::Permutation;
 
 pub use crate::engine::QueryStats;
 pub use crate::plans::{AggResult, Aggregate, PsiOutcome, QueryBatch};
-
-/// One owner's input relation: rows of `(set value, aggregation values)`.
-/// All owners must supply the same number of aggregation attributes.
-#[derive(Debug, Clone, Default)]
-pub struct OwnerInput {
-    /// `(A_c value, [A_x1, A_x2, …])` rows.
-    pub rows: Vec<(u64, Vec<u64>)>,
-}
-
-impl OwnerInput {
-    /// Rows with a single aggregation attribute.
-    pub fn from_pairs(rows: impl IntoIterator<Item = (u64, u64)>) -> Self {
-        OwnerInput {
-            rows: rows.into_iter().map(|(c, x)| (c, vec![x])).collect(),
-        }
-    }
-
-    /// Set-only rows (no aggregation attributes).
-    pub fn from_set(values: impl IntoIterator<Item = u64>) -> Self {
-        OwnerInput {
-            rows: values.into_iter().map(|c| (c, Vec::new())).collect(),
-        }
-    }
-}
+pub use crate::tables::OwnerInput;
 
 /// Cluster construction options.
 #[derive(Debug, Clone)]
@@ -151,209 +133,20 @@ pub struct Cluster {
 /// F-table (above this, the per-cell Horner path is used instead).
 const POLY_TABLE_LIMIT: u64 = 1 << 22;
 
-/// Build owner `j`'s plaintext tables from `input`, share every column
-/// the configuration asks for into the server nodes, and return the
-/// owner-side state the post-build rounds need. Shared by Phase-1
-/// outsourcing ([`Cluster::build`]) and post-build re-uploads
-/// ([`Cluster::update_owner`]); `prg_seed` derives all of the owner's
-/// share randomness, so identical `(input, seed)` pairs produce
-/// identical shares whatever path stored them.
-fn outsource_owner(
-    nodes: &mut [ShardedNode],
-    op: &OwnerParams,
-    cfg: &ClusterConfig,
-    n_attrs: usize,
-    j: usize,
-    input: &OwnerInput,
-    prg_seed: u64,
-) -> Result<OwnerState> {
-    let b = op.b;
-    let mut indicator = vec![0u64; b];
-    let mut counts = vec![0u64; b];
-    let mut st = OwnerState {
-        sums: vec![vec![0; b]; n_attrs],
-        maxima: vec![vec![0; b]; n_attrs],
-    };
-    for (set_v, aggs) in &input.rows {
-        let cell = set_v
-            .checked_sub(1)
-            .filter(|&i| (i as usize) < b)
-            .ok_or_else(|| ProtocolError::OutOfDomain {
-                value: format!("owner {j}: {set_v}"),
-            })? as usize;
-        indicator[cell] = 1;
-        counts[cell] += 1;
-        for (a, &v) in aggs.iter().enumerate() {
-            st.sums[a][cell] = st.sums[a][cell].wrapping_add(v);
-            st.maxima[a][cell] = st.maxima[a][cell].max(v);
-        }
-    }
-
-    let mut prg = Prg::from_seed(prg_seed);
-    let ind = share_indicator(&indicator, op.delta, &mut prg);
-    let [s0, s1] = ind.shares;
-    nodes[0].store(j, Column::Ok, s0);
-    nodes[1].store(j, Column::Ok, s1);
-    if cfg.with_verification {
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let vperm = op.pf_db1.apply(&complement);
-        let v = share_indicator(&vperm, op.delta, &mut prg);
-        let [v0, v1] = v.shares;
-        nodes[0].store(j, Column::VOk, v0);
-        nodes[1].store(j, Column::VOk, v1);
-        let c1 = share_indicator(&op.pf_db1.apply(&indicator), op.delta, &mut prg);
-        let c2 = share_indicator(&op.pf_db2.apply(&indicator), op.delta, &mut prg);
-        let [a0, a1] = c1.shares;
-        let [b0, b1] = c2.shares;
-        nodes[0].store(j, Column::OkDb1, a0);
-        nodes[1].store(j, Column::OkDb1, a1);
-        nodes[0].store(j, Column::OkDb2, b0);
-        nodes[1].store(j, Column::OkDb2, b1);
-    }
-    if cfg.with_aggregation {
-        for a in 0..n_attrs {
-            let p = share_payload(&st.sums[a], &op.field, &mut prg);
-            for (k, sh) in p.shares.into_iter().enumerate() {
-                nodes[k].store(j, Column::Agg(a as u8), sh);
-            }
-            if cfg.with_verification {
-                let vp = share_payload(&op.pf_db1.apply(&st.sums[a]), &op.field, &mut prg);
-                for (k, sh) in vp.shares.into_iter().enumerate() {
-                    nodes[k].store(j, Column::VAgg(a as u8), sh);
-                }
+impl OwnerState {
+    /// Store every share column at its server (Phase 1 or a full
+    /// re-upload) and keep the owner-side tables.
+    fn store(nodes: &mut [ShardedNode], owner: usize, shares: OwnerShares) -> OwnerState {
+        for (node, columns) in nodes.iter_mut().zip(shares.columns) {
+            for (column, data) in columns {
+                node.store(owner, column, data);
             }
         }
-        let c = share_payload(&counts, &op.field, &mut prg);
-        for (k, sh) in c.shares.into_iter().enumerate() {
-            nodes[k].store(j, Column::AOk, sh);
+        OwnerState {
+            sums: shares.sums,
+            maxima: shares.maxima,
         }
     }
-    Ok(st)
-}
-
-/// The appended-block permutations one growth epoch shares across every
-/// owner's delta: the tails of the grown family's four permutations,
-/// which [`crate::params::Setup::grow`] guarantees are block-diagonal at
-/// the append point.
-struct DeltaBlocks {
-    db1: Permutation,
-    db2: Permutation,
-    s1: Permutation,
-    s2: Permutation,
-}
-
-impl DeltaBlocks {
-    fn of(grown: &Setup, start: usize) -> Result<DeltaBlocks> {
-        let tail = |p: &Permutation| {
-            p.tail_block(start).ok_or_else(|| {
-                ProtocolError::ParameterMismatch(
-                    "grown permutation family is not block-diagonal at the append point".into(),
-                )
-            })
-        };
-        Ok(DeltaBlocks {
-            db1: tail(&grown.family.pf_db1)?,
-            db2: tail(&grown.family.pf_db2)?,
-            s1: tail(&grown.family.pf_s1)?,
-            s2: tail(&grown.family.pf_s2)?,
-        })
-    }
-}
-
-/// Build owner `j`'s plaintext tables for the appended segment
-/// `[start, start + added)`, share them into the server nodes as a delta
-/// upload, and return the owner-side state for the segment. The column
-/// set and share-draw order mirror [`outsource_owner`] exactly, but over
-/// `added` cells; the verification copies are permuted by the appended
-/// *block* of each owner permutation (block-diagonal growth means the
-/// full permuted column's appended segment is exactly the block applied
-/// to the segment).
-#[allow(clippy::too_many_arguments)]
-fn outsource_owner_delta(
-    nodes: &mut [ShardedNode],
-    op: &OwnerParams,
-    cfg: &ClusterConfig,
-    n_attrs: usize,
-    j: usize,
-    start: usize,
-    added: usize,
-    input: &OwnerInput,
-    prg_seed: u64,
-    blocks: &DeltaBlocks,
-) -> Result<OwnerState> {
-    let mut indicator = vec![0u64; added];
-    let mut counts = vec![0u64; added];
-    let mut st = OwnerState {
-        sums: vec![vec![0; added]; n_attrs],
-        maxima: vec![vec![0; added]; n_attrs],
-    };
-    for (set_v, aggs) in &input.rows {
-        let cell = set_v
-            .checked_sub(1)
-            .map(|c| c as usize)
-            .filter(|&c| c >= start && c < start + added)
-            .ok_or_else(|| ProtocolError::OutOfDomain {
-                value: format!(
-                    "owner {j} delta: {set_v} (appended cells are {}..={})",
-                    start + 1,
-                    start + added
-                ),
-            })?;
-        let i = cell - start;
-        indicator[i] = 1;
-        counts[i] += 1;
-        for (a, &v) in aggs.iter().enumerate() {
-            st.sums[a][i] = st.sums[a][i].wrapping_add(v);
-            st.maxima[a][i] = st.maxima[a][i].max(v);
-        }
-    }
-
-    let mut prg = Prg::from_seed(prg_seed);
-    let mut cols: Vec<Vec<(Column, Vec<u64>)>> = vec![Vec::new(); nodes.len()];
-    let ind = share_indicator(&indicator, op.delta, &mut prg);
-    let [s0, s1] = ind.shares;
-    cols[0].push((Column::Ok, s0));
-    cols[1].push((Column::Ok, s1));
-    if cfg.with_verification {
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let v = share_indicator(&blocks.db1.apply(&complement), op.delta, &mut prg);
-        let [v0, v1] = v.shares;
-        cols[0].push((Column::VOk, v0));
-        cols[1].push((Column::VOk, v1));
-        let c1 = share_indicator(&blocks.db1.apply(&indicator), op.delta, &mut prg);
-        let c2 = share_indicator(&blocks.db2.apply(&indicator), op.delta, &mut prg);
-        let [a0, a1] = c1.shares;
-        let [b0, b1] = c2.shares;
-        cols[0].push((Column::OkDb1, a0));
-        cols[1].push((Column::OkDb1, a1));
-        cols[0].push((Column::OkDb2, b0));
-        cols[1].push((Column::OkDb2, b1));
-    }
-    if cfg.with_aggregation {
-        for a in 0..n_attrs {
-            let p = share_payload(&st.sums[a], &op.field, &mut prg);
-            for (k, sh) in p.shares.into_iter().enumerate() {
-                cols[k].push((Column::Agg(a as u8), sh));
-            }
-            if cfg.with_verification {
-                let vp = share_payload(&blocks.db1.apply(&st.sums[a]), &op.field, &mut prg);
-                for (k, sh) in vp.shares.into_iter().enumerate() {
-                    cols[k].push((Column::VAgg(a as u8), sh));
-                }
-            }
-        }
-        let c = share_payload(&counts, &op.field, &mut prg);
-        for (k, sh) in c.shares.into_iter().enumerate() {
-            cols[k].push((Column::AOk, sh));
-        }
-    }
-    for (k, columns) in cols.into_iter().enumerate() {
-        if columns.is_empty() {
-            continue;
-        }
-        nodes[k].delta_upload(j, start, columns, Some((&blocks.s1, &blocks.s2)))?;
-    }
-    Ok(st)
 }
 
 impl Cluster {
@@ -367,19 +160,6 @@ impl Cluster {
             .map(|(_, aggs)| aggs.len())
             .next()
             .unwrap_or(0);
-        for (j, input) in inputs.iter().enumerate() {
-            if input.rows.iter().any(|(_, aggs)| aggs.len() != n_attrs) {
-                return Err(ProtocolError::ParameterMismatch(format!(
-                    "owner {j} has rows with inconsistent attribute counts"
-                )));
-            }
-        }
-        if n_attrs > u8::MAX as usize {
-            return Err(ProtocolError::ParameterMismatch(format!(
-                "at most {} aggregation attributes supported, got {n_attrs}",
-                u8::MAX
-            )));
-        }
         let mut sys = SystemConfig::new(m, cfg.domain_size)
             .with_seed(cfg.seed)
             .with_agg_domain_max(cfg.agg_domain_max);
@@ -392,6 +172,7 @@ impl Cluster {
         // Owner-side tables + Phase 1 uploads, one owner at a time so the
         // transient plaintext columns are dropped before the next owner's
         // are built.
+        let (verify, aggregate) = (cfg.with_verification, cfg.with_aggregation);
         let mut owners = Vec::with_capacity(m);
         let mut nodes: Vec<ShardedNode> = setup
             .servers
@@ -400,9 +181,8 @@ impl Cluster {
             .collect();
         for (j, input) in inputs.iter().enumerate() {
             let prg_seed = cfg.seed ^ (0xA11CE + j as u64).wrapping_mul(0x9E3779B97F4A7C15);
-            owners.push(outsource_owner(
-                &mut nodes, op, &cfg, n_attrs, j, input, prg_seed,
-            )?);
+            let shares = share_owner(op, input, 0..op.b, verify, aggregate, n_attrs, prg_seed)?;
+            owners.push(OwnerState::store(&mut nodes, j, shares));
         }
 
         Ok(Cluster {
@@ -489,30 +269,14 @@ impl Cluster {
                 self.owners.len()
             )));
         }
-        if input
-            .rows
-            .iter()
-            .any(|(_, aggs)| aggs.len() != self.n_attrs)
-        {
-            return Err(ProtocolError::ParameterMismatch(format!(
-                "owner {owner} update has rows with the wrong attribute count \
-                 (cluster has {} attributes)",
-                self.n_attrs
-            )));
-        }
-        self.updates += 1;
+        let epoch = self.updates + 1;
         let prg_seed = self.cfg.seed
-            ^ (0xD1CE + owner as u64 + (self.updates << 20)).wrapping_mul(0x9E3779B97F4A7C15);
-        let st = outsource_owner(
-            &mut self.nodes,
-            &self.setup.owner,
-            &self.cfg,
-            self.n_attrs,
-            owner,
-            input,
-            prg_seed,
-        )?;
-        self.owners[owner] = st;
+            ^ (0xD1CE + owner as u64 + (epoch << 20)).wrapping_mul(0x9E3779B97F4A7C15);
+        let (op, n_attrs) = (&self.setup.owner, self.n_attrs);
+        let (verify, aggregate) = (self.cfg.with_verification, self.cfg.with_aggregation);
+        let shares = share_owner(op, input, 0..op.b, verify, aggregate, n_attrs, prg_seed)?;
+        self.owners[owner] = OwnerState::store(&mut self.nodes, owner, shares);
+        self.updates = epoch;
         if let Some(cache) = &self.cache {
             for server in 0..self.nodes.len() {
                 cache.note_upload(server);
@@ -529,6 +293,10 @@ impl Cluster {
     /// PSI-round cache *keeps* its entries for untouched ranges (they
     /// revalidate by version probe) instead of dropping everything the
     /// way a full [`Cluster::update_owner`] re-outsourcing does.
+    ///
+    /// Every owner's delta is shared before any is applied, so a rejected
+    /// append (a row outside the appended cells, a wrong attribute count)
+    /// leaves the cluster exactly as it was.
     pub fn append(&mut self, added: usize, inputs: &[OwnerInput]) -> Result<()> {
         if inputs.len() != self.owners.len() {
             return Err(ProtocolError::ParameterMismatch(format!(
@@ -537,44 +305,52 @@ impl Cluster {
                 self.owners.len()
             )));
         }
-        for (j, input) in inputs.iter().enumerate() {
-            if input
-                .rows
-                .iter()
-                .any(|(_, aggs)| aggs.len() != self.n_attrs)
-            {
-                return Err(ProtocolError::ParameterMismatch(format!(
-                    "owner {j} delta has rows with the wrong attribute count \
-                     (cluster has {} attributes)",
-                    self.n_attrs
-                )));
-            }
-        }
         let start = self.setup.owner.b;
-        self.updates += 1;
-        let grown = self.setup.grow(added, self.updates, self.cfg.seed)?;
-        let blocks = DeltaBlocks::of(&grown, start)?;
-        for (j, input) in inputs.iter().enumerate() {
-            let prg_seed = self.cfg.seed
-                ^ (0xDE17A + j as u64 + (self.updates << 20)).wrapping_mul(0x9E3779B97F4A7C15);
-            let st = outsource_owner_delta(
-                &mut self.nodes,
-                &grown.owner,
-                &self.cfg,
-                self.n_attrs,
-                j,
-                start,
-                added,
-                input,
-                prg_seed,
-                &blocks,
-            )?;
-            for a in 0..self.n_attrs {
-                self.owners[j].sums[a].extend_from_slice(&st.sums[a]);
-                self.owners[j].maxima[a].extend_from_slice(&st.maxima[a]);
+        let epoch = self.updates + 1;
+        let grown = self.setup.grow(added, epoch, self.cfg.seed)?;
+        let (verify, aggregate) = (self.cfg.with_verification, self.cfg.with_aggregation);
+        let deltas = inputs
+            .iter()
+            .enumerate()
+            .map(|(j, input)| {
+                let prg_seed = self.cfg.seed
+                    ^ (0xDE17A + j as u64 + (epoch << 20)).wrapping_mul(0x9E3779B97F4A7C15);
+                let window = start..start + added;
+                share_owner(
+                    &grown.owner,
+                    input,
+                    window,
+                    verify,
+                    aggregate,
+                    self.n_attrs,
+                    prg_seed,
+                )
+            })
+            .collect::<Result<Vec<_>>>()?;
+        // The servers' finish permutations grow by the appended blocks of
+        // the grown family (block-diagonal at `start` by construction).
+        let tail = |p: &Permutation| {
+            p.tail_block(start).ok_or_else(|| {
+                ProtocolError::ParameterMismatch(
+                    "grown permutation family is not block-diagonal at the append point".into(),
+                )
+            })
+        };
+        let (s1, s2) = (tail(&grown.family.pf_s1)?, tail(&grown.family.pf_s2)?);
+        for (j, delta) in deltas.into_iter().enumerate() {
+            for (node, columns) in self.nodes.iter_mut().zip(delta.columns) {
+                if !columns.is_empty() {
+                    node.delta_upload(j, start, columns, Some((&s1, &s2)))?;
+                }
+            }
+            let owner = &mut self.owners[j];
+            for (a, (sums, maxima)) in delta.sums.into_iter().zip(delta.maxima).enumerate() {
+                owner.sums[a].extend(sums);
+                owner.maxima[a].extend(maxima);
             }
         }
         self.setup = grown;
+        self.updates = epoch;
         if let Some(cache) = &self.cache {
             for server in 0..self.nodes.len() {
                 cache.note_upload(server);
@@ -614,15 +390,28 @@ impl Cluster {
     /// [`ClusterConfig::cache`] set, the backend is wrapped in the
     /// PSI-round [`CachedExec`] decorator (state persists across calls).
     pub fn execute<P: Operation>(&self, plan: &P) -> Result<(P::Output, QueryStats)> {
+        self.run(plan, None)
+    }
+
+    /// The one exec stack every query runs on: the sharded domains, the
+    /// PSI-round cache decorator when enabled, and the engine — scoped to
+    /// the row window `(start, len)` when one is given.
+    fn run<P: Operation>(
+        &self,
+        plan: &P,
+        range: Option<(u64, u64)>,
+    ) -> Result<(P::Output, QueryStats)> {
         let sharded = ShardedExec::new(&self.nodes, &self.announcer);
         let cached = self.cache.as_ref().map(|c| CachedExec::new(&sharded, c));
         let exec: &dyn ServerExec = match &cached {
             Some(c) => c,
             None => &sharded,
         };
-        Engine::new(&exec, &self.setup.owner)
-            .with_threads(self.cfg.threads)
-            .run(plan)
+        let engine = Engine::new(&exec, &self.setup.owner).with_threads(self.cfg.threads);
+        match range {
+            Some((start, len)) => engine.with_range(start, len).run(plan),
+            None => engine.run(plan),
+        }
     }
 
     fn require_verification(&self) -> Result<()> {
@@ -630,6 +419,16 @@ impl Cluster {
             return Err(ProtocolError::ParameterMismatch(
                 "cluster built without verification columns".into(),
             ));
+        }
+        Ok(())
+    }
+
+    fn require_batch(&self, batch: &QueryBatch) -> Result<()> {
+        for agg in &batch.aggs {
+            match *agg {
+                Aggregate::Sum(a) | Aggregate::Avg(a) => self.require_agg(a as usize)?,
+                Aggregate::CountTuples => self.require_agg(0)?,
+            }
         }
         Ok(())
     }
@@ -734,12 +533,7 @@ impl Cluster {
     /// (see [`QueryBatch`]); results are identical to the corresponding
     /// sequential queries.
     pub fn psi_query_batch(&self, batch: &QueryBatch) -> Result<(Vec<AggResult>, QueryStats)> {
-        for agg in &batch.aggs {
-            match *agg {
-                Aggregate::Sum(a) | Aggregate::Avg(a) => self.require_agg(a as usize)?,
-                Aggregate::CountTuples => self.require_agg(0)?,
-            }
-        }
+        self.require_batch(batch)?;
         self.execute(&plans::Batch {
             batch,
             seed: self.z_seed(),
@@ -756,25 +550,12 @@ impl Cluster {
         batch: &QueryBatch,
         range: (u64, u64),
     ) -> Result<(Vec<AggResult>, QueryStats)> {
-        for agg in &batch.aggs {
-            match *agg {
-                Aggregate::Sum(a) | Aggregate::Avg(a) => self.require_agg(a as usize)?,
-                Aggregate::CountTuples => self.require_agg(0)?,
-            }
-        }
-        let sharded = ShardedExec::new(&self.nodes, &self.announcer);
-        let cached = self.cache.as_ref().map(|c| CachedExec::new(&sharded, c));
-        let exec: &dyn ServerExec = match &cached {
-            Some(c) => c,
-            None => &sharded,
+        self.require_batch(batch)?;
+        let plan = plans::Batch {
+            batch,
+            seed: self.z_seed(),
         };
-        Engine::new(&exec, &self.setup.owner)
-            .with_threads(self.cfg.threads)
-            .with_range(range.0, range.1)
-            .run(&plans::Batch {
-                batch,
-                seed: self.z_seed(),
-            })
+        self.run(&plan, Some(range))
     }
 
     /// PSI maximum with the identity round (§6.3, all three rounds) and
@@ -793,17 +574,11 @@ impl Cluster {
                 .collect(),
             table: self.poly_table(),
             seed: self.cfg.seed,
-            cell_chunk: Self::CELL_CHUNK,
+            cell_chunk: plans::DEFAULT_CELL_CHUNK,
         };
         let ((cells, holders), stats) = self.execute(&plan)?;
         Ok((cells, holders, stats))
     }
-
-    /// Chunk size for the max/median per-cell pipelines (the shared
-    /// engine default — `NetCluster` uses the same constant, which is
-    /// what keeps round counts and chunk-seeded blinding identical
-    /// across harnesses).
-    const CELL_CHUNK: usize = plans::DEFAULT_CELL_CHUNK;
 
     /// PSI maximum over several attributes (Table 12).
     pub fn psi_max_multi(&self, attrs: &[usize]) -> Result<(Vec<Vec<MaxCell>>, QueryStats)> {
@@ -833,7 +608,7 @@ impl Cluster {
                 .collect(),
             table: self.poly_table(),
             seed: self.cfg.seed,
-            cell_chunk: Self::CELL_CHUNK,
+            cell_chunk: plans::DEFAULT_CELL_CHUNK,
         };
         self.execute(&plan)
     }
@@ -1191,6 +966,63 @@ mod tests {
         ];
         assert!(c.append(1, &delta).is_err());
         assert!(c.append(0, &[]).is_err(), "empty append must be rejected");
+    }
+
+    #[test]
+    fn rejected_append_leaves_the_cluster_answering_as_before() {
+        let answers = |c: &Cluster| {
+            let batch = QueryBatch::new().sum(0).avg(1).count_tuples();
+            let (maxes, holders, _) = c.psi_max(1).unwrap();
+            (
+                c.psi_query_batch(&batch).unwrap().0,
+                c.psi_verified().unwrap().0.fop,
+                maxes,
+                holders,
+                c.psi_median(0).unwrap().0,
+            )
+        };
+        let mut c = hospital_cluster(32);
+        let before = answers(&c);
+        // Owners 0 and 2 are valid; owner 1's row sits in an existing cell.
+        let bad = vec![
+            OwnerInput {
+                rows: vec![(4, vec![10, 1])],
+            },
+            OwnerInput {
+                rows: vec![(2, vec![20, 2])],
+            },
+            OwnerInput {
+                rows: vec![(4, vec![30, 3])],
+            },
+        ];
+        assert!(c.append(1, &bad).is_err());
+        assert_eq!(c.setup.owner.b, 3);
+        assert_eq!(answers(&c), before, "a rejected append changed the answers");
+
+        // A following valid append matches a cluster that never saw the
+        // rejected one.
+        let mut oracle = hospital_cluster(32);
+        let good = vec![
+            OwnerInput {
+                rows: vec![(4, vec![10, 1])],
+            },
+            OwnerInput {
+                rows: vec![(4, vec![20, 9])],
+            },
+            OwnerInput {
+                rows: vec![(4, vec![30, 3])],
+            },
+        ];
+        c.append(1, &good).unwrap();
+        oracle.append(1, &good).unwrap();
+        let got = answers(&c);
+        assert_eq!(got, answers(&oracle));
+        let maxima: Vec<(usize, u64)> = got.2.iter().map(|m| (m.cell, m.max)).collect();
+        assert_eq!(
+            maxima,
+            vec![(0, 8), (3, 9)],
+            "psi_max over the grown domain"
+        );
     }
 
     #[test]

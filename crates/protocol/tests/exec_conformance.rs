@@ -20,9 +20,9 @@
 //! [`InMemoryExec`]: prism_protocol::engine::InMemoryExec
 //! [`ShardedExec`]: prism_protocol::shard::ShardedExec
 
-use prism_core::Prg;
 use prism_net::NetCluster;
 use prism_protocol::cache::{CachedExec, PsiRoundCache};
+use prism_protocol::driver::OwnerInput;
 use prism_protocol::engine::{
     Announcer, Column, Engine, InMemoryExec, Operation, ServerExec, ServerNode,
 };
@@ -31,7 +31,7 @@ use prism_protocol::max::MaxCell;
 use prism_protocol::params::{Initiator, OwnerParams, Setup, SystemConfig};
 use prism_protocol::plans;
 use prism_protocol::shard::{ShardedExec, ShardedNode};
-use prism_protocol::tables::{share_indicator, share_payload};
+use prism_protocol::tables::share_owner;
 use prism_protocol::{AggResult, QueryBatch};
 
 const DOMAIN: usize = 24;
@@ -68,49 +68,14 @@ fn fixture() -> Fixture {
     .setup()
     .unwrap();
     let op = &setup.owner;
-    let mut columns = Vec::new();
-    let mut maxima = Vec::new();
-    let mut sums = Vec::new();
+    let (mut columns, mut maxima, mut sums) = (Vec::new(), Vec::new(), Vec::new());
     for (j, owner_rows) in rows().iter().enumerate() {
-        let mut indicator = vec![0u64; DOMAIN];
-        let mut sum = vec![0u64; DOMAIN];
-        let mut max = vec![0u64; DOMAIN];
-        let mut counts = vec![0u64; DOMAIN];
-        for &(c, x) in owner_rows {
-            let cell = (c - 1) as usize;
-            indicator[cell] = 1;
-            sum[cell] += x;
-            max[cell] = max[cell].max(x);
-            counts[cell] += 1;
-        }
-        let mut prg = Prg::from_seed(SEED ^ (900 + j as u64));
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let v = share_indicator(&op.pf_db1.apply(&complement), op.delta, &mut prg);
-        let c1 = share_indicator(&op.pf_db1.apply(&indicator), op.delta, &mut prg);
-        let c2 = share_indicator(&op.pf_db2.apply(&indicator), op.delta, &mut prg);
-        let p = share_payload(&sum, &op.field, &mut prg);
-        let vp = share_payload(&op.pf_db1.apply(&sum), &op.field, &mut prg);
-        let cnt = share_payload(&counts, &op.field, &mut prg);
-        columns.push(
-            (0..3)
-                .map(|k| {
-                    let mut cols = Vec::new();
-                    if k < 2 {
-                        cols.push((Column::Ok, ind.shares[k].clone()));
-                        cols.push((Column::VOk, v.shares[k].clone()));
-                        cols.push((Column::OkDb1, c1.shares[k].clone()));
-                        cols.push((Column::OkDb2, c2.shares[k].clone()));
-                    }
-                    cols.push((Column::Agg(0), p.shares[k].clone()));
-                    cols.push((Column::VAgg(0), vp.shares[k].clone()));
-                    cols.push((Column::AOk, cnt.shares[k].clone()));
-                    cols
-                })
-                .collect(),
-        );
-        maxima.push(max);
-        sums.push(sum);
+        let input = OwnerInput::from_pairs(owner_rows.iter().copied());
+        let seed = SEED ^ (900 + j as u64);
+        let shares = share_owner(op, &input, 0..DOMAIN, true, true, 1, seed).unwrap();
+        columns.push(shares.columns);
+        maxima.extend(shares.maxima);
+        sums.extend(shares.sums);
     }
     Fixture {
         setup,
@@ -504,8 +469,6 @@ fn delta_fixture(fx: &Fixture) -> DeltaFixture {
     const ADDED: usize = 4;
     let start = DOMAIN;
     let grown = fx.setup.grow(ADDED, 1, SEED).unwrap();
-    let bdb1 = grown.family.pf_db1.tail_block(start).unwrap();
-    let bdb2 = grown.family.pf_db2.tail_block(start).unwrap();
     let e1 = grown.family.pf_s1.tail_block(start).unwrap();
     let e2 = grown.family.pf_s2.tail_block(start).unwrap();
     let op = &grown.owner;
@@ -513,48 +476,14 @@ fn delta_fixture(fx: &Fixture) -> DeltaFixture {
     let mut maxima = fx.maxima.clone();
     let mut sums = fx.sums.clone();
     for (j, owner_rows) in delta_rows().iter().enumerate() {
-        let mut indicator = vec![0u64; ADDED];
-        let mut sum = vec![0u64; ADDED];
-        let mut max = vec![0u64; ADDED];
-        let mut counts = vec![0u64; ADDED];
-        for &(c, x) in owner_rows {
-            let i = (c - 1) as usize - start;
-            indicator[i] = 1;
-            sum[i] += x;
-            max[i] = max[i].max(x);
-            counts[i] += 1;
-        }
         // Same column set and share-draw order as the Phase-1 fixture,
-        // over the appended segment; the verification copies are permuted
-        // by the appended *block* (block-diagonal growth).
-        let mut prg = Prg::from_seed(SEED ^ (1700 + j as u64));
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let v = share_indicator(&bdb1.apply(&complement), op.delta, &mut prg);
-        let c1 = share_indicator(&bdb1.apply(&indicator), op.delta, &mut prg);
-        let c2 = share_indicator(&bdb2.apply(&indicator), op.delta, &mut prg);
-        let p = share_payload(&sum, &op.field, &mut prg);
-        let vp = share_payload(&bdb1.apply(&sum), &op.field, &mut prg);
-        let cnt = share_payload(&counts, &op.field, &mut prg);
-        columns.push(
-            (0..3)
-                .map(|k| {
-                    let mut cols = Vec::new();
-                    if k < 2 {
-                        cols.push((Column::Ok, ind.shares[k].clone()));
-                        cols.push((Column::VOk, v.shares[k].clone()));
-                        cols.push((Column::OkDb1, c1.shares[k].clone()));
-                        cols.push((Column::OkDb2, c2.shares[k].clone()));
-                    }
-                    cols.push((Column::Agg(0), p.shares[k].clone()));
-                    cols.push((Column::VAgg(0), vp.shares[k].clone()));
-                    cols.push((Column::AOk, cnt.shares[k].clone()));
-                    cols
-                })
-                .collect(),
-        );
-        maxima[j].extend_from_slice(&max);
-        sums[j].extend_from_slice(&sum);
+        // over the appended segment.
+        let input = OwnerInput::from_pairs(owner_rows.iter().copied());
+        let seed = SEED ^ (1700 + j as u64);
+        let shares = share_owner(op, &input, start..start + ADDED, true, true, 1, seed).unwrap();
+        columns.push(shares.columns);
+        maxima[j].extend_from_slice(&shares.maxima[0]);
+        sums[j].extend_from_slice(&shares.sums[0]);
     }
     DeltaFixture {
         grown,

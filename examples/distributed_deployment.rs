@@ -19,9 +19,10 @@
 //! Run with: `cargo run --example distributed_deployment`
 
 use prism::core::Prg;
-use prism::net::{AnnouncerNode, ClusterListener, Column, NetCluster, RegistryConfig, ShardWorker};
+use prism::driver::OwnerInput;
+use prism::net::{AnnouncerNode, ClusterListener, NetCluster, RegistryConfig, ShardWorker};
 use prism::protocol::params::{Initiator, SystemConfig};
-use prism::protocol::tables::{share_indicator, share_payload};
+use prism::protocol::tables::share_owner;
 use std::time::{Duration, Instant};
 
 const DOMAIN: usize = 1_000;
@@ -105,7 +106,6 @@ fn main() {
     let setup = Initiator::new(SystemConfig::new(3, DOMAIN).with_seed(1234))
         .setup()
         .expect("setup");
-    let op = setup.owner.clone();
 
     // Bind the control plane, then attach every node by address — three
     // server domains × four row-range shard workers plus the announcer,
@@ -147,39 +147,18 @@ fn main() {
     // every column of an owner's per-server table in ONE round-trip. The
     // per-cell maxima/sums stay owner-side: the max/median rounds consume
     // them directly (they never leave the owners unblinded).
+    let op = &cluster.setup().owner;
     let mut owner_maxima: Vec<Vec<u64>> = Vec::new();
     let mut owner_sums: Vec<Vec<u64>> = Vec::new();
     for (j, rows) in suppliers.iter().enumerate() {
-        let mut indicator = vec![0u64; DOMAIN];
-        let mut sums = vec![0u64; DOMAIN];
-        let mut maxima = vec![0u64; DOMAIN];
-        let mut counts = vec![0u64; DOMAIN];
-        for &(part, stock) in rows {
-            let cell = (part - 1) as usize;
-            indicator[cell] = 1;
-            sums[cell] += stock;
-            maxima[cell] = maxima[cell].max(stock);
-            counts[cell] += 1;
-        }
-        let mut prg = Prg::from_seed(500 + j as u64);
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let v = share_indicator(&op.pf_db1.apply(&complement), op.delta, &mut prg);
-        let p = share_payload(&sums, &op.field, &mut prg);
-        let c = share_payload(&counts, &op.field, &mut prg);
-
-        for k in 0..3 {
-            let mut columns = Vec::new();
-            if k < 2 {
-                columns.push((Column::Ok, ind.shares[k].clone()));
-                columns.push((Column::VOk, v.shares[k].clone()));
-            }
-            columns.push((Column::Agg(0), p.shares[k].clone()));
-            columns.push((Column::AOk, c.shares[k].clone()));
+        let input = OwnerInput::from_pairs(rows.iter().copied());
+        let shares = share_owner(op, &input, 0..DOMAIN, true, true, 1, 500 + j as u64)
+            .expect("share owner table");
+        for (k, columns) in shares.columns.into_iter().enumerate() {
             cluster.bulk_upload(k, j, columns).expect("bulk upload");
         }
-        owner_maxima.push(maxima);
-        owner_sums.push(sums);
+        owner_maxima.extend(shares.maxima);
+        owner_sums.extend(shares.sums);
     }
 
     // Phase 2–4: queries over the wire.

@@ -67,17 +67,21 @@ bench-smoke: bench-check
     grep -q '"failovers": 1' BENCH_failover.json
     grep -q '"heal": "promotion"' BENCH_failover.json
 
-# Build the repository benchmark and smoke one short `cold_agg` run:
-# every answer must check out and no operation may fail. `perfbench/` is
-# a workspace of its own, so no other recipe compiles it, and a public API
-# change in `driver`, `engine` or `shard` could otherwise break it unseen.
+# Build the repository benchmark and smoke short `cold_agg` and
+# `cache_append` runs (the latter is the only workload that drives
+# `Cluster::append`): every answer must check out and no operation may
+# fail. `perfbench/` is a workspace of its own, so no other recipe
+# compiles it, and a public API change in `driver`, `engine` or `shard`
+# could otherwise break it unseen.
 perfbench-smoke:
     #!/usr/bin/env bash
     set -euo pipefail
-    out=$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload cold_agg --seed 1 --seconds 3 --trace 0 | tail -1)
-    echo "$out"
-    grep -q '"correct": true' <<< "$out"
-    grep -q '"failed": 0' <<< "$out"
+    for workload in cold_agg cache_append; do
+        out=$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -1)
+        echo "$out"
+        grep -q '"correct": true' <<< "$out"
+        grep -q '"failed": 0' <<< "$out"
+    done
 
 # Run the full criterion bench suite (small fixed sizes, minutes).
 bench:

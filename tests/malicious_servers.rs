@@ -217,58 +217,26 @@ fn max_verification_catches_suppressed_maximum() {
 /// Build a channel-transport cluster with every column the verified
 /// operations need uploaded through the wire.
 fn net_cluster(seed: u64) -> NetCluster {
-    use prism::core::Prg;
-    use prism::net::Column;
-    use prism::protocol::tables::{share_indicator, share_payload};
+    use prism::protocol::tables::share_owner;
 
     let setup = Initiator::new(SystemConfig::new(4, DOMAIN).with_seed(seed))
         .setup()
         .unwrap();
     let cluster = NetCluster::start_local(setup);
-    let op = cluster.setup().owner.clone();
-    for (j, rows) in fixture_rows().iter().enumerate() {
-        let mut indicator = vec![0u64; DOMAIN];
-        let mut sums = vec![0u64; DOMAIN];
-        let mut counts = vec![0u64; DOMAIN];
-        for &(c, x) in rows {
-            let cell = (c - 1) as usize;
-            indicator[cell] = 1;
-            sums[cell] += x;
-            counts[cell] += 1;
-        }
-        let mut prg = Prg::from_seed(seed ^ (7000 + j as u64));
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let v = share_indicator(&op.pf_db1.apply(&complement), op.delta, &mut prg);
-        let c1 = share_indicator(&op.pf_db1.apply(&indicator), op.delta, &mut prg);
-        let c2 = share_indicator(&op.pf_db2.apply(&indicator), op.delta, &mut prg);
-        for k in 0..2 {
-            cluster
-                .upload(k, j, Column::Ok, ind.shares[k].clone())
-                .unwrap();
-            cluster
-                .upload(k, j, Column::VOk, v.shares[k].clone())
-                .unwrap();
-            cluster
-                .upload(k, j, Column::OkDb1, c1.shares[k].clone())
-                .unwrap();
-            cluster
-                .upload(k, j, Column::OkDb2, c2.shares[k].clone())
-                .unwrap();
-        }
-        let p = share_payload(&sums, &op.field, &mut prg);
-        let vp = share_payload(&op.pf_db1.apply(&sums), &op.field, &mut prg);
-        let cnt = share_payload(&counts, &op.field, &mut prg);
-        for k in 0..3 {
-            cluster
-                .upload(k, j, Column::Agg(0), p.shares[k].clone())
-                .unwrap();
-            cluster
-                .upload(k, j, Column::VAgg(0), vp.shares[k].clone())
-                .unwrap();
-            cluster
-                .upload(k, j, Column::AOk, cnt.shares[k].clone())
-                .unwrap();
+    let op = &cluster.setup().owner;
+    for (j, rows) in fixture_rows().into_iter().enumerate() {
+        let input = OwnerInput::from_pairs(rows);
+        let shares = share_owner(
+            op,
+            &input,
+            0..DOMAIN,
+            true,
+            true,
+            1,
+            seed ^ (7000 + j as u64),
+        );
+        for (k, columns) in shares.unwrap().columns.into_iter().enumerate() {
+            cluster.bulk_upload(k, j, columns).unwrap();
         }
     }
     cluster
